@@ -7,7 +7,7 @@ concurrent single-sample requests into few compiled batch forwards, the
 software analogue of the batching-across-inputs leverage CirCNN's
 pipelined FFT hardware gets for free.
 
-Three pieces, documented end to end in ``docs/serving_runtime.md``:
+The pieces, documented end to end in ``docs/serving_runtime.md``:
 
 - :class:`~repro.serving.scheduler.MicroBatcher` /
   :class:`~repro.serving.scheduler.BatchPolicy` — dynamic micro-batching
@@ -16,18 +16,20 @@ Three pieces, documented end to end in ``docs/serving_runtime.md``:
 - :class:`~repro.serving.registry.ModelRegistry` — named endpoints over
   multiple compiled networks (FC, CONV, quantised views) with atomic
   hot swap and per-endpoint generation counters;
-- :class:`~repro.serving.server.InferenceServer` — the request/response
-  runtime: per-endpoint lanes feed assembled batches to a worker thread
-  pool, which runs one reentrant compiled forward per batch
-  (``Sequential.inference_forward``) and scatters rows to futures;
-- :class:`~repro.serving.multiproc.MPInferenceServer` — the same request
-  path over worker *processes*: every endpoint generation is shared once
-  via ``multiprocessing.shared_memory``
-  (:mod:`repro.serving.shm`), workers attach read-only views (zero
-  per-worker FFTs or weight copies), hot swap stays atomic across
-  processes, overload is shed (:class:`~repro.errors.QueueFullError`,
-  per-request deadlines), and crashed workers are respawned from the
-  shared images (:class:`~repro.errors.WorkerCrashedError`).
+- :class:`~repro.serving.server.InferenceServer` — the serving core, one
+  request path for both runtimes: admission (``queue_depth``, circuit
+  breaker), per-request ``deadline_ms`` expiry, per-endpoint lanes,
+  length-bucket grouping and batch assembly, the true-length scatter to
+  futures, per-request deadline-aware retries and one ``stats()``
+  schema. Its own executor runs one reentrant compiled forward per batch
+  (``Sequential.inference_forward``) on a thread pool;
+- :class:`~repro.serving.multiproc.MPInferenceServer` — the same core
+  with a process executor: every endpoint generation is shared once via
+  ``multiprocessing.shared_memory`` (:mod:`repro.serving.shm`), workers
+  attach read-only views (zero per-worker FFTs or weight copies), hot
+  swap stays atomic across processes, and crashed or wedged workers are
+  respawned from the shared images
+  (:class:`~repro.errors.WorkerCrashedError`).
 - :mod:`repro.serving.resilience` — the fault-tolerance policies layered
   on top: :class:`~repro.serving.resilience.RetryPolicy`
   (deadline-aware transparent retries of crashed/wedged batches),

@@ -4,8 +4,13 @@ The thread-pool :class:`~repro.serving.server.InferenceServer` scales as
 far as NumPy releases the GIL; the pure-Python FFT backends (and any
 Python-level layer work) serialise on it. :class:`MPInferenceServer`
 breaks that ceiling by running the compiled forwards in **worker
-processes** — without paying the naive cost of multi-process serving,
-which is N copies of every model and N redundant compile passes:
+processes**. It is the same serving core — admission, ``queue_depth``,
+deadlines, lanes, bucketing, assembly, scatter, retries, breaker and
+stats all come from :class:`~repro.serving.server.InferenceServer` —
+with a process executor in place of the thread pool. This module holds
+only what is process-specific, and avoids the naive cost of
+multi-process serving, which is N copies of every model and N redundant
+compile passes:
 
 - Every endpoint generation is serialised **once** into a
   shared-memory segment (:func:`repro.serving.shm.publish_image`) and
@@ -18,11 +23,8 @@ which is N copies of every model and N redundant compile passes:
   image is published into a worker's task pipe **before** any task that
   references it (and retired only after), FIFO pipe ordering makes each
   response old-or-new, never mixed.
-- Overload is shed, not queued: lanes carry a bounded admission queue
-  (``queue_depth``) whose overflow raises
-  :class:`~repro.errors.QueueFullError` synchronously at ``submit()``,
-  and per-request deadlines travel with the task so both the scheduler
-  and the worker drop work that can no longer meet them
+- Per-request deadlines travel with the task, so the worker drops a
+  batch that can no longer meet them
   (:class:`~repro.errors.DeadlineExceededError`).
 - Workers are supervised: a dead child (segfault, OOM kill) fails its
   in-flight batches fast with :class:`~repro.errors.WorkerCrashedError`
@@ -36,14 +38,10 @@ which is N copies of every model and N redundant compile passes:
   supervision respawns it. A stuck forward (runaway kernel, deadlocked
   extension) therefore costs one worker for ``wedge_timeout_s``, not the
   server forever.
-- Failures can be made invisible: an optional
-  :class:`~repro.serving.resilience.RetryPolicy` transparently
-  resubmits batches orphaned by a crash or wedge (jittered backoff,
-  never past a request's deadline), and an optional per-endpoint
-  :class:`~repro.serving.resilience.CircuitBreaker` converts a
-  persistently failing endpoint into
-  :class:`~repro.errors.CircuitOpenError` fast-rejects at admission —
-  the same synchronous contract as ``QueueFullError``.
+- Both faults reply to the core as ordinary batch failures, so the
+  core's :class:`~repro.serving.resilience.RetryPolicy` can resubmit a
+  batch orphaned by a crash or wedge and its circuit breaker sees the
+  outcome.
 
 Wire protocol (one dedicated pipe pair per worker, so a SIGKILL mid-
 operation can never poison a lock shared with its siblings)::
@@ -60,53 +58,29 @@ collector) and every task carries its image descriptor, so the
 ``publish``/``retire`` broadcasts are best-effort: a worker that missed
 one attaches from the task itself.
     worker -> parent : ("begin", batch_id)        # wedge-watchdog heartbeat
-                       ("done", batch_id, y)
-                       ("expired", batch_id)
-                       ("error", batch_id, exception)
+                       ("reply", batch_id, outcome)  # (generation, y)
+                                                     # or an exception
 
 See the "Multi-process serving" section of ``docs/serving_runtime.md``.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import select
 import threading
 import time
-from concurrent.futures import Future
 from multiprocessing import connection
 
 import numpy as np
 
 from repro.errors import (
     ConfigurationError,
-    DeadlineExceededError,
-    QueueFullError,
-    ServerClosedError,
     WorkerCrashedError,
     WorkerWedgedError,
 )
-from repro.serving.registry import DEFAULT_ENDPOINT, ModelRegistry
-from repro.serving.resilience import (
-    BreakerPolicy,
-    CircuitBreaker,
-    RetryPolicy,
-)
-from repro.serving.scheduler import (
-    BatchPolicy,
-    MicroBatcher,
-    assemble_batch,
-    assemble_sequence_batch,
-    bucket_key,
-    check_sample_shape,
-)
-from repro.serving.server import (
-    _WAKE,
-    InferenceRequest,
-    InferenceResponse,
-    resolve_many,
-)
+from repro.serving.resilience import BreakerPolicy, RetryPolicy
+from repro.serving.server import InferenceServer, check_batch_deadline
 from repro.serving.shm import attach_image, publish_image
 
 #: How long stop() waits for a worker to exit before terminating it.
@@ -260,9 +234,7 @@ def _worker_main(task_conn, result_conn, descriptors, gate,
                 result_conn.send(("begin", batch_id))
             if gate is not None:
                 gate.hold_if_armed()
-            if deadline is not None and time.monotonic() > deadline:
-                result_conn.send(("expired", batch_id))
-                continue
+            check_batch_deadline(deadline)
             if generation not in images.get(endpoint, {}):
                 # The publish broadcast for this generation was dropped
                 # (or is still in the pipe behind us): attach from the
@@ -270,16 +242,15 @@ def _worker_main(task_conn, result_conn, descriptors, gate,
                 # image linked while any batch of its generation is in
                 # flight, so this attach cannot race the unlink.
                 publish(descriptor)
-            attached = images[endpoint][generation]
-            y = np.asarray(attached.network.inference_forward(x))
-            result_conn.send(("done", batch_id, y))
+            network = images[endpoint][generation].network
+            outcome = generation, np.asarray(network.inference_forward(x))
         except BaseException as exc:  # noqa: BLE001 - forwarded to parent
-            try:
-                result_conn.send(("error", batch_id, exc))
-            except Exception:
-                result_conn.send(
-                    ("error", batch_id, RuntimeError(repr(exc)))
-                )
+            outcome = exc
+        try:
+            result_conn.send(("reply", batch_id, outcome))
+        except Exception:
+            # An exception that does not pickle still fails its batch.
+            result_conn.send(("reply", batch_id, RuntimeError(repr(outcome))))
     for generations in images.values():
         for attached in generations.values():
             attached.close()
@@ -322,38 +293,14 @@ class _Worker:
                 pass
 
 
-class _Inflight:
-    """One dispatched batch awaiting its worker's reply."""
-
-    __slots__ = ("endpoint", "generation", "items", "rows", "padded",
-                 "closed", "worker_index", "attempt", "began_at",
-                 "lengths", "time_axis")
-
-    def __init__(self, endpoint, generation, items, rows, padded, closed,
-                 worker_index, attempt=1, lengths=None, time_axis=None):
-        self.endpoint = endpoint
-        self.generation = generation
-        self.items = items          # [(request, future), ...] — claimed
-        self.rows = rows            # real rows (batch may be padded)
-        self.padded = padded        # zero rows appended by assemble_batch
-        self.closed = closed        # lane batch-close instant
-        self.worker_index = worker_index
-        self.attempt = attempt      # 1 = first dispatch; bumped per retry
-        self.began_at = None        # worker "begin" heartbeat instant
-        self.lengths = lengths      # per-request true sequence lengths
-        self.time_axis = time_axis  # sample time axis (sequence endpoints)
-
-
-class _Lane:
-    """Per-endpoint bounded batcher plus its batch-forming thread."""
-
-    def __init__(self, batcher: MicroBatcher, thread: threading.Thread):
-        self.batcher = batcher
-        self.thread = thread
-
-
-class MPInferenceServer:
+class MPInferenceServer(InferenceServer):
     """Multi-process serving runtime over shared-memory endpoint images.
+
+    Takes every :class:`~repro.serving.server.InferenceServer` keyword
+    (``max_batch``, ``max_wait_ms``, ``pad_to_multiple``,
+    ``bucket_multiple``, ``workers``, ``queue_depth``, ``retry``,
+    ``breaker``) with the same meaning — ``workers`` counts processes —
+    plus the process-specific ones below.
 
     Parameters
     ----------
@@ -364,23 +311,9 @@ class MPInferenceServer:
         memory; endpoints registered or swapped afterwards (including
         :meth:`~repro.serving.registry.ModelRegistry.swap_from_store`
         called directly on the registry) are picked up through the
-        registry's subscription hook.
-    workers:
-        Number of worker processes. Each attaches the *same* shared
-        images — per-worker incremental memory is page tables, not
-        weights.
-    max_batch, max_wait_ms, pad_to_multiple, bucket_multiple:
-        The usual :class:`~repro.serving.scheduler.BatchPolicy` knobs.
-        ``bucket_multiple`` enables length-bucketed batching on sequence
-        endpoints (networks with a ``time_axis``): ragged requests group
-        by rounded-up padded length, are zero-padded within their bucket
-        only, and each response carries its true-length output slice.
-    queue_depth:
-        Bound on **unresolved** requests per endpoint — queued *and*
-        dispatched-but-unanswered, so a wedged worker cannot grow an
-        unbounded pipe backlog either. When full, :meth:`submit` raises
-        :class:`~repro.errors.QueueFullError` synchronously — load is
-        shed at admission, never silently backlogged. ``None`` = unbounded.
+        registry's subscription hook. Each worker attaches the *same*
+        shared images — per-worker incremental memory is page tables,
+        not weights.
     start_method:
         ``multiprocessing`` start method; the default ``"spawn"`` is the
         only one that is safe regardless of the parent's thread activity.
@@ -393,19 +326,6 @@ class MPInferenceServer:
         :class:`~repro.errors.WorkerWedgedError` and it is respawned
         from the shared images. ``None`` (default) disables the
         watchdog and the heartbeats.
-    retry:
-        Optional :class:`~repro.serving.resilience.RetryPolicy`:
-        batches failed by a worker crash or wedge are transparently
-        redispatched (jittered exponential backoff) as long as another
-        attempt can still start before each request's deadline. With
-        retries on, a crash or wedge under deadline slack is invisible
-        to clients.
-    breaker:
-        Optional :class:`~repro.serving.resilience.BreakerPolicy`: each
-        endpoint gets a circuit breaker fed by its request outcomes.
-        While the circuit is open, :meth:`submit` raises
-        :class:`~repro.errors.CircuitOpenError` synchronously — same
-        admission contract as ``QueueFullError``.
     """
 
     def __init__(self, model, *, workers: int = 2, max_batch: int = 16,
@@ -418,98 +338,45 @@ class MPInferenceServer:
                  wedge_timeout_s: float | None = None,
                  retry: RetryPolicy | None = None,
                  breaker: BreakerPolicy | None = None):
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if queue_depth is not None and queue_depth < 1:
-            raise ConfigurationError(
-                f"queue_depth must be >= 1, got {queue_depth}"
-            )
         if wedge_timeout_s is not None and wedge_timeout_s <= 0:
             raise ConfigurationError(
                 f"wedge_timeout_s must be > 0, got {wedge_timeout_s}"
             )
-        if isinstance(model, ModelRegistry):
-            self.registry = model
-        else:
-            self.registry = ModelRegistry()
-            self.registry.register(DEFAULT_ENDPOINT, model)
-        self.policy = BatchPolicy(
-            max_batch=max_batch, max_wait_ms=max_wait_ms,
+        super().__init__(
+            model, max_batch=max_batch, max_wait_ms=max_wait_ms,
             pad_to_multiple=pad_to_multiple,
-            bucket_multiple=bucket_multiple,
+            bucket_multiple=bucket_multiple, workers=workers,
+            queue_depth=queue_depth, retry=retry, breaker=breaker,
         )
-        self.worker_count = workers
-        self.queue_depth = queue_depth
         self.batch_gate = batch_gate
         self.wedge_timeout_s = wedge_timeout_s
-        self.retry = retry
-        self._retry_rng = retry.rng() if retry is not None else None
-        self._breaker_policy = breaker
-        self._breakers: dict[str, CircuitBreaker] = {}
         import multiprocessing
 
         self._context = multiprocessing.get_context(start_method)
-        # One lock guards workers, images, the current-generation map and
-        # the in-flight table: the swap protocol's ordering guarantees
-        # (publish broadcast before the generation map moves, tasks tagged
-        # under the same lock) all hang off its critical sections.
-        self._lock = threading.RLock()
-        self._lifecycle = threading.Lock()
-        self._stop = threading.Event()
-        self._stop.set()  # not started yet
+        # The core's lock also guards workers, images and the
+        # current-generation map: the swap protocol's ordering guarantees
+        # (publish broadcast before the generation map moves, tasks
+        # tagged under the same lock) all hang off its critical sections.
         self._closing = False
         self._workers: list[_Worker] = []
         self._images: dict[str, dict[int, object]] = {}
         self._current: dict[str, int] = {}
-        self._inflight: dict[int, _Inflight] = {}
-        self._inflight_cv = threading.Condition(self._lock)
         # Notified when the supervisor installs a respawned worker, so a
         # dispatch that finds every worker dead can wait for the
         # replacement instead of failing a batch the respawn would have
         # served milliseconds later.
         self._workers_cv = threading.Condition(self._lock)
-        self._lanes: dict[str, _Lane] = {}
-        # Unresolved requests per endpoint (queued + dispatched): the
-        # admission-control counter queue_depth bounds. Incremented at
-        # submit, released by each future's done callback — so the bound
-        # covers work a wedged worker is sitting on, not just the queue.
-        self._outstanding: dict[str, int] = {}
         self._collector: threading.Thread | None = None
         self._wake_r = None
         self._wake_w = None
         self._next_worker = 0
-        self._ids = itertools.count()
-        self._batch_ids = itertools.count()
-        # Pending retry timers (timer -> (endpoint, items, exc)), plus a
-        # count of retries mid-redispatch, both folded into stop()'s
-        # drain condition so shutdown cannot slip between a timer firing
-        # and its batch landing in _inflight.
-        self._retry_timers: dict = {}
-        self._retry_active = 0
-        self._stats_lock = threading.Lock()
-        self._endpoint_stats: dict[str, dict[str, int]] = {}
-        self._crashes = 0
-        self._wedged = 0
-        self._respawns = 0
 
-    #: Per-endpoint counter names; stats() sums them for the flat view.
-    _STAT_KEYS = ("requests", "responses", "batches", "batched_rows",
-                  "padded_rows", "errors", "cancelled", "shed", "expired",
-                  "rejected", "retries")
-
-    def _bump(self, endpoint: str, **deltas) -> None:
-        with self._stats_lock:
-            counts = self._endpoint_stats.setdefault(
-                endpoint, dict.fromkeys(self._STAT_KEYS, 0)
-            )
-            for key, delta in deltas.items():
-                counts[key] += delta
+    @property
+    def worker_count(self) -> int:
+        """Configured pool size; the same value as :attr:`workers`."""
+        return self.workers
 
     # -- lifecycle -----------------------------------------------------------
-    @property
-    def running(self) -> bool:
-        return not self._stop.is_set()
-
     def start(self) -> "MPInferenceServer":
         """Publish every endpoint to shared memory and spawn the workers."""
         with self._lifecycle:
@@ -529,7 +396,7 @@ class MPInferenceServer:
                 self._images = images
                 self._current = current
                 self._workers = [
-                    self._spawn(index) for index in range(self.worker_count)
+                    self._spawn(index) for index in range(self.workers)
                 ]
                 self._stop.clear()
             self._collector = threading.Thread(
@@ -557,34 +424,10 @@ class MPInferenceServer:
             if not self.running:
                 return
             self.registry.unsubscribe(self._on_publish)
+            drained = self._drain(drain_timeout_s)
             with self._lock:
-                self._stop.set()
-                lanes = list(self._lanes.values())
-            for lane in lanes:
-                lane.batcher.put(_WAKE, force=True)
-            for lane in lanes:
-                lane.thread.join()
-            with self._inflight_cv:
-                # Pending retry timers and mid-redispatch retries count as
-                # in-flight work: a retry that was promised must either
-                # land or fail, never be dropped by shutdown.
-                drained = self._inflight_cv.wait_for(
-                    lambda: (not self._inflight
-                             and not self._retry_timers
-                             and self._retry_active == 0),
-                    timeout=drain_timeout_s,
-                )
                 self._closing = True
-                pending_retries = list(self._retry_timers.items())
-                self._retry_timers.clear()
                 workers = list(self._workers)
-            # Retries still pending past the drain window fail fast with
-            # the fault that triggered them (the timer's own firing would
-            # do the same now that _closing is set; claiming them here
-            # just resolves the futures without waiting for the timers).
-            for timer, (endpoint, items, exc) in pending_retries:
-                timer.cancel()
-                self._fail(endpoint, items, exc)
             if not drained:
                 # _closing is already set, so the collector fails the
                 # orphaned batches without respawning replacements.
@@ -628,120 +471,6 @@ class MPInferenceServer:
                 self._images = {}
                 self._current = {}
                 self._workers = []
-                self._lanes.clear()
-
-    def __enter__(self) -> "MPInferenceServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # -- request path --------------------------------------------------------
-    def submit(self, x, endpoint: str = DEFAULT_ENDPOINT,
-               deadline_ms: float | None = None) -> Future:
-        """Enqueue one sample; returns a Future of
-        :class:`~repro.serving.server.InferenceResponse`.
-
-        Raises :class:`~repro.errors.QueueFullError` immediately when the
-        endpoint's admission queue (``queue_depth``) is full — the shed
-        path — :class:`~repro.errors.CircuitOpenError` while the
-        endpoint's circuit breaker (if configured) is open, and
-        :class:`~repro.errors.ShapeError` on a malformed sample.
-        ``deadline_ms`` sets a relative deadline; a request that cannot
-        be served in time fails with
-        :class:`~repro.errors.DeadlineExceededError` instead of occupying
-        a batch (the deadline travels to the worker with the task).
-        """
-        net, _ = self.registry.snapshot(endpoint)
-        x = np.asarray(x, dtype=np.float64)
-        check_sample_shape(x.shape, getattr(net, "input_sample_shape", None))
-        now = time.monotonic()
-        deadline = None if deadline_ms is None else now + deadline_ms / 1e3
-        request = InferenceRequest(
-            request_id=next(self._ids), endpoint=endpoint, x=x,
-            enqueued_at=now, deadline=deadline,
-        )
-        future: Future = Future()
-        breaker = self.breaker(endpoint)
-        with self._lock:
-            if not self.running:
-                raise ServerClosedError(
-                    "MPInferenceServer is not running; call start() or use "
-                    "it as a context manager"
-                )
-            if breaker is not None:
-                try:
-                    breaker.admit()
-                except Exception:
-                    self._bump(endpoint, rejected=1)
-                    raise
-            if (self.queue_depth is not None
-                    and self._outstanding.get(endpoint, 0)
-                    >= self.queue_depth):
-                self._bump(endpoint, shed=1)
-                raise QueueFullError(
-                    f"endpoint {endpoint!r} already has "
-                    f"{self.queue_depth} unresolved requests; shedding "
-                    "instead of queueing"
-                )
-            self._outstanding[endpoint] = (
-                self._outstanding.get(endpoint, 0) + 1
-            )
-            future.add_done_callback(
-                lambda f, e=endpoint, b=breaker: self._request_done(e, b, f)
-            )
-            self._lane(endpoint).batcher.put((request, future))
-        self._bump(endpoint, requests=1)
-        return future
-
-    def breaker(self, endpoint: str) -> CircuitBreaker | None:
-        """The endpoint's circuit breaker; ``None`` when unconfigured."""
-        if self._breaker_policy is None:
-            return None
-        with self._lock:
-            cb = self._breakers.get(endpoint)
-            if cb is None:
-                cb = self._breakers[endpoint] = CircuitBreaker(
-                    self._breaker_policy
-                )
-            return cb
-
-    def _request_done(self, endpoint: str, breaker, future: Future) -> None:
-        # Every admitted request releases its admission slot and (when a
-        # breaker is configured) votes on the endpoint's health: any
-        # exception — worker fault, deadline miss — counts as a failure,
-        # so sustained expiry alone can open the circuit.
-        self._release(endpoint)
-        if breaker is not None and not future.cancelled():
-            breaker.record(future.exception() is None)
-
-    def _release(self, endpoint: str) -> None:
-        with self._lock:
-            count = self._outstanding.get(endpoint, 0)
-            if count > 0:
-                self._outstanding[endpoint] = count - 1
-
-    def infer(self, x, endpoint: str = DEFAULT_ENDPOINT,
-              timeout: float | None = None,
-              deadline_ms: float | None = None) -> np.ndarray:
-        """Synchronous single-sample convenience: submit and wait."""
-        return self.submit(x, endpoint, deadline_ms=deadline_ms) \
-            .result(timeout).y
-
-    def submit_many(self, samples, endpoint: str = DEFAULT_ENDPOINT,
-                    deadline_ms: float | None = None) -> list[Future]:
-        """Enqueue a burst of samples; returns their futures in order."""
-        return [
-            self.submit(x, endpoint, deadline_ms=deadline_ms)
-            for x in samples
-        ]
-
-    def infer_many(self, samples, endpoint: str = DEFAULT_ENDPOINT,
-                   timeout: float | None = None,
-                   deadline_ms: float | None = None) -> list[np.ndarray]:
-        """Submit a burst, wait under **one shared deadline**, return ys."""
-        futures = self.submit_many(samples, endpoint, deadline_ms=deadline_ms)
-        return [r.y for r in resolve_many(futures, timeout)]
 
     # -- hot swap ------------------------------------------------------------
     def swap_from_store(self, endpoint: str, path, *, mmap: bool = True):
@@ -825,177 +554,69 @@ class MPInferenceServer:
                 continue
             generations.pop(generation).close_and_unlink()
 
-    # -- lanes and dispatch --------------------------------------------------
-    def _lane(self, endpoint: str) -> _Lane:
-        with self._lock:
-            lane = self._lanes.get(endpoint)
-            if lane is None:
-                # No batcher-level max_pending: admission control lives in
-                # submit()'s outstanding counter, which also covers
-                # dispatched batches a wedged worker is sitting on.
-                batcher = MicroBatcher(
-                    self.policy,
-                    expired=self._is_expired, on_expired=self._expire_item,
-                )
-                thread = threading.Thread(
-                    target=self._lane_loop, args=(endpoint, batcher),
-                    name=f"repro-mp-lane-{endpoint}", daemon=True,
-                )
-                lane = _Lane(batcher, thread)
-                self._lanes[endpoint] = lane
-                thread.start()
-            return lane
+    # -- the process executor ------------------------------------------------
+    def _execute(self, batch_id: int, batch, x) -> None:
+        """Send one batch to the least-loaded live worker.
 
-    @staticmethod
-    def _is_expired(item) -> bool:
-        if item is _WAKE:
-            return False
-        request, _ = item
-        return (request.deadline is not None
-                and time.monotonic() > request.deadline)
-
-    def _expire_item(self, item) -> None:
-        request, future = item
-        self._bump(request.endpoint, expired=1)
-        if future.set_running_or_notify_cancel():
-            future.set_exception(DeadlineExceededError(
-                f"request {request.request_id} missed its deadline before "
-                "a batch could be formed"
-            ))
-
-    def _lane_loop(self, endpoint: str, batcher: MicroBatcher) -> None:
-        while True:
-            if self._stop.is_set() and batcher.pending() == 0:
-                return
-            batch = batcher.next_batch(timeout=0.05)
-            if not batch:
-                continue
-            closed = time.monotonic()
-            items = [item for item in batch if item is not _WAKE]
-            if not items:
-                continue
-            self._dispatch(endpoint, items, closed)
-
-    def _dispatch(self, endpoint: str, items: list, closed: float,
-                  attempt: int = 1, claimed: bool = False) -> None:
-        # Mirror of the thread server's _run_batch grouping: wildcard-axis
-        # endpoints sub-batch per concrete shape, and sequence endpoints
-        # (a declared time_axis) group by *length bucket* so ragged
-        # requests batch together, padded within their bucket only.
-        net, _ = self.registry.snapshot(endpoint)
-        time_axis = getattr(net, "time_axis", None)
-        groups: dict[tuple, list] = {}
-        for item in items:
-            key = bucket_key(
-                item[0].x.shape, time_axis, self.policy.bucket_multiple
-            )
-            groups.setdefault(key, []).append(item)
-        for group in groups.values():
-            self._dispatch_group(
-                endpoint, group, closed, time_axis, attempt, claimed
-            )
-
-    def _dispatch_group(self, endpoint: str, items: list, closed: float,
-                        time_axis: int | None, attempt: int = 1,
-                        claimed: bool = False) -> None:
-        # Claim futures before any work, exactly like the thread server:
-        # once RUNNING, a client cancel() can no longer race the scatter.
-        # Retry redispatches (claimed=True) skip this: their futures went
-        # RUNNING on the first attempt.
-        if claimed:
-            live = list(items)
-        else:
-            live = [
-                (request, future) for request, future in items
-                if future.set_running_or_notify_cancel()
-            ]
-            if len(live) < len(items):
-                self._bump(endpoint, cancelled=len(items) - len(live))
-        if not live:
-            return
-        requests = [request for request, _ in live]
-        try:
-            if time_axis is not None:
-                x, rows, lengths = assemble_sequence_batch(
-                    [request.x for request in requests], time_axis,
-                    self.policy.bucket_multiple,
-                    self.policy.pad_to_multiple,
-                )
-            else:
-                x, rows = assemble_batch(
-                    [request.x for request in requests],
-                    self.policy.pad_to_multiple,
-                )
-                lengths = None
-        except BaseException as exc:
-            self._fail(endpoint, live, exc)
-            return
-        # The batch deadline is the latest member deadline: members that
-        # had already expired were dropped at batch formation, so if the
-        # worker finds this deadline passed, *every* member has missed.
-        deadlines = [request.deadline for request in requests]
-        deadline = None if any(d is None for d in deadlines) \
-            else max(deadlines)
+        Tags the batch with the endpoint's current generation under the
+        lock (the swap protocol), then sends *outside* the lock: a batch
+        payload can exceed the pipe buffer, and a blocking send under the
+        lock deadlocks against the collector, which needs the lock to
+        settle the reply the worker is trying to hand us. The in-flight
+        registration pins the image against unlinking meanwhile.
+        """
+        endpoint = batch.endpoint
         give_up = time.monotonic() + _JOIN_TIMEOUT_S
         while True:
             with self._lock:
+                worker = self._pick_worker()
+                # Every worker is dead. The supervisor respawns each
+                # crashed worker unless the server is closing, so wait
+                # (lock released) for the replacement rather than failing
+                # a batch it would serve moments later.
+                while (worker is None and not self._closing
+                       and self._workers_cv.wait(
+                           max(0.0, give_up - time.monotonic()))):
+                    worker = self._pick_worker()
+                if self._inflight.get(batch_id) is not batch:
+                    return  # a reap settled it meanwhile
                 generation = self._current.get(endpoint)
                 if generation is None:
-                    self._fail(endpoint, live, ConfigurationError(
+                    error = ConfigurationError(
                         f"endpoint {endpoint!r} has no published image"
-                    ))
-                    return
-                descriptor = self._images[endpoint][generation].descriptor
-                worker = self._pick_worker()
-                while worker is None:
-                    # Every worker is dead. The supervisor respawns each
-                    # crashed worker unless the server is closing, so wait
-                    # (lock released) for the replacement rather than
-                    # failing a batch it would serve moments later.
-                    if self._closing or not self._workers_cv.wait(
-                        timeout=max(0.0, give_up - time.monotonic())
-                    ):
-                        self._fail(endpoint, live, WorkerCrashedError(
-                            "no live worker process to run the batch on"
-                        ))
-                        return
-                    worker = self._pick_worker()
-                batch_id = next(self._batch_ids)
-                worker.load += 1
-                self._inflight[batch_id] = _Inflight(
-                    endpoint, generation, live, rows, x.shape[0] - rows,
-                    closed, worker.index, attempt,
-                    lengths=lengths, time_axis=time_axis,
-                )
-            # The send happens OUTSIDE the server lock: a batch payload
-            # can exceed the pipe buffer, and a blocking send under the
-            # lock deadlocks against the collector (which needs the lock
-            # to settle the reply the worker is trying to hand us).
-            # Registering in-flight state first is safe — the collector
-            # cannot see a reply for this batch before the send lands,
-            # and the registration pins the image against unlinking.
+                    )
+                elif worker is None:
+                    error = WorkerCrashedError(
+                        "no live worker process to run the batch on"
+                    )
+                else:
+                    error = None
+                    descriptor = self._images[endpoint][generation].descriptor
+                    worker.load += 1
+                    batch.worker_index = worker.index
+                    batch.generation = generation
+            if error is not None:
+                self._finish(batch_id, error)
+                return
             try:
                 with worker.send_mutex:
                     worker.task_conn.send((
                         "task", batch_id, endpoint, generation, x,
-                        deadline, descriptor,
+                        batch.deadline, descriptor,
                     ))
                 return
             except (OSError, ValueError):
-                # The collector reaps marked workers explicitly; wake it
-                # rather than relying on the sentinel, which it may
-                # already have stopped watching.
+                # The worker died under us. Unless the collector already
+                # reaped it (and settled this batch), take the batch back
+                # and pick another worker; wake the collector rather than
+                # relying on the sentinel, which it may have stopped
+                # watching.
                 with self._lock:
                     worker.alive = False
-                    reclaimed = self._inflight.pop(batch_id, None)
-                    if reclaimed is not None and worker.load > 0:
+                    if self._inflight.get(batch_id) is batch:
                         worker.load -= 1
+                        batch.worker_index = None
                 self._wake_collector()
-                if reclaimed is None:
-                    # The collector reaped the dead worker between our
-                    # send failing and the lock: it already failed or
-                    # retried these items. Nothing left to redispatch.
-                    return
 
     def _pick_worker(self):
         # Caller holds self._lock: least-loaded live worker, with a
@@ -1021,90 +642,16 @@ class MPInferenceServer:
                 return worker
         return None
 
-    def _fail(self, endpoint: str, items: list, exc: BaseException,
-              count_errors: bool = True) -> None:
-        if count_errors:
-            self._bump(endpoint, errors=len(items))
-        for _, future in items:
-            try:
-                future.set_exception(exc)
-            except Exception:
-                pass
-
-    # -- retries -------------------------------------------------------------
-    def _fail_or_retry(self, inflight: _Inflight, exc: BaseException) -> None:
-        """Fail an orphaned batch — or transparently redispatch it.
-
-        With a :class:`RetryPolicy` configured and the fault retryable
-        (a crash or wedge, not a deterministic error), every request
-        whose deadline still admits another attempt is rescheduled after
-        the policy's jittered backoff; the rest fail with the original
-        fault. Called by :meth:`_reap` on the collector thread.
-        """
-        policy = self.retry
-        items = inflight.items
-        if policy is None or not policy.retryable(exc):
-            self._fail(inflight.endpoint, items, exc)
-            return
-        now = time.monotonic()
-        attempt = inflight.attempt + 1
-        retry_items, fail_items, latest = [], [], None
-        with self._lock:
-            if self._closing or not self.running:
-                fail_items = items
-            else:
-                for request, future in items:
-                    at = policy.next_attempt_at(
-                        attempt, now, request.deadline, self._retry_rng
-                    )
-                    if at is None:
-                        fail_items.append((request, future))
-                    else:
-                        retry_items.append((request, future))
-                        latest = at if latest is None else max(latest, at)
-        if fail_items:
-            self._fail(inflight.endpoint, fail_items, exc)
-        if not retry_items:
-            return
-        self._bump(inflight.endpoint, retries=len(retry_items))
-        self._schedule_retry(
-            inflight.endpoint, retry_items, inflight.closed, attempt,
-            max(0.0, latest - now), exc,
-        )
-
-    def _schedule_retry(self, endpoint: str, items: list, closed: float,
-                        attempt: int, delay: float,
-                        exc: BaseException) -> None:
-        timer_box: list[threading.Timer] = []
-
-        def fire() -> None:
-            with self._inflight_cv:
-                claim = self._retry_timers.pop(timer_box[0], None)
-                if claim is None:
-                    return  # stop() claimed and failed these requests
-                aborted = self._closing or not self.running
-                if not aborted:
-                    self._retry_active += 1
-            if aborted:
-                # A retry landing after stop() began fails fast with the
-                # original fault instead of dispatching into a dying
-                # worker pool.
-                self._fail(endpoint, items, exc)
-                return
-            try:
-                self._dispatch(endpoint, items, closed, attempt=attempt,
-                               claimed=True)
-            finally:
-                with self._inflight_cv:
-                    self._retry_active -= 1
-                    self._inflight_cv.notify_all()
-
-        timer = threading.Timer(delay, fire)
-        timer.daemon = True
-        timer_box.append(timer)
-        with self._inflight_cv:
-            self._retry_timers[timer] = (endpoint, items, exc)
-        timer.start()
+    def _take(self, batch_id: int):
+        # Caller holds self._lock: also release the batch's worker load
+        # and any superseded image it was the last to reference.
+        batch = super()._take(batch_id)
+        if batch is not None:
+            self._maybe_unlink(batch.endpoint)
+            worker = self._worker_in_slot(batch.worker_index)
+            if worker is not None and worker.load > 0:
+                worker.load -= 1
+        return batch
 
     # -- worker supervision --------------------------------------------------
     def _spawn(self, index: int) -> _Worker:
@@ -1219,11 +766,10 @@ class MPInferenceServer:
         now = time.monotonic()
         victims = []
         with self._lock:
-            for inflight in self._inflight.values():
-                if (inflight.began_at is None
-                        or now - inflight.began_at < timeout):
+            for batch in self._inflight.values():
+                if batch.began_at is None or now - batch.began_at < timeout:
                     continue
-                worker = self._worker_in_slot(inflight.worker_index)
+                worker = self._worker_in_slot(batch.worker_index)
                 if (worker is not None and worker.alive
                         and not worker.wedged):
                     # Marked before the kill so _reap can tell a wedge
@@ -1243,98 +789,32 @@ class MPInferenceServer:
                 message = worker.result_conn.recv()
             except (EOFError, OSError):
                 return False
-            self._settle(message)
-
-    def _settle(self, message) -> None:
-        kind, batch_id = message[0], message[1]
-        if kind == "begin":
-            # Wedge-watchdog heartbeat: the worker entered the forward.
-            with self._lock:
-                inflight = self._inflight.get(batch_id)
-                if inflight is not None:
-                    inflight.began_at = time.monotonic()
-            return
-        with self._inflight_cv:
-            inflight = self._inflight.pop(batch_id, None)
-            if inflight is not None:
-                self._maybe_unlink(inflight.endpoint)
-                worker = self._worker_in_slot(inflight.worker_index)
-                if worker is not None and worker.load > 0:
-                    worker.load -= 1
-            self._inflight_cv.notify_all()
-        if inflight is None:
-            return
-        if kind == "done":
-            y = message[2][:inflight.rows]
-            if y.shape[0] != len(inflight.items):
-                self._fail(inflight.endpoint, inflight.items, RuntimeError(
-                    f"endpoint {inflight.endpoint!r} returned {y.shape[0]} "
-                    f"output rows for a batch of {len(inflight.items)} "
-                    "requests"
-                ))
-                return
-            done = time.monotonic()
-            lengths, time_axis = inflight.lengths, inflight.time_axis
-            for index, (row, (request, future)) in enumerate(
-                zip(y, inflight.items)
-            ):
-                out = row
-                if (
-                    lengths is not None
-                    and out.ndim > time_axis
-                    and out.shape[time_axis] != lengths[index]
-                ):
-                    # Within-bucket zero padding is internal: slice the
-                    # response back to the request's true length. A model
-                    # that collapses the time axis has nothing to slice.
-                    slicer = [slice(None)] * out.ndim
-                    slicer[time_axis] = slice(0, lengths[index])
-                    out = out[tuple(slicer)]
-                future.set_result(InferenceResponse(
-                    request_id=request.request_id,
-                    endpoint=inflight.endpoint,
-                    y=out.copy(),
-                    batch_size=inflight.rows,
-                    generation=inflight.generation,
-                    queued_ms=(inflight.closed - request.enqueued_at) * 1e3,
-                    latency_ms=(done - request.enqueued_at) * 1e3,
-                ))
-            self._bump(
-                inflight.endpoint, responses=inflight.rows, batches=1,
-                batched_rows=inflight.rows, padded_rows=inflight.padded,
-            )
-        elif kind == "expired":
-            self._bump(inflight.endpoint, expired=len(inflight.items))
-            # Deadline drops are accounted under "expired", not "errors".
-            self._fail(inflight.endpoint, inflight.items,
-                       DeadlineExceededError(
-                           "the batch deadline passed before the worker "
-                           "could run it"
-                       ), count_errors=False)
-        else:  # "error"
-            self._fail(inflight.endpoint, inflight.items, message[2])
+            kind, batch_id, *outcome = message
+            if kind == "begin":
+                # Wedge-watchdog heartbeat: the worker entered the forward.
+                with self._lock:
+                    batch = self._inflight.get(batch_id)
+                    if batch is not None:
+                        batch.began_at = time.monotonic()
+            else:
+                self._finish(batch_id, outcome[0])
 
     def _reap(self, worker: _Worker) -> None:
-        """A worker died: fail its in-flight batches fast, then respawn."""
-        with self._inflight_cv:
+        """A worker died: fail (or retry) its in-flight batches, respawn."""
+        with self._lock:
             if worker.reaped:
                 return
             worker.reaped = True
             worker.alive = False
+            # Taken atomically: a batch a dispatcher moved to another
+            # worker after a failed send is no longer this worker's.
             orphaned = [
-                (batch_id, inflight)
-                for batch_id, inflight in self._inflight.items()
-                if inflight.worker_index == worker.index
+                self._take(batch_id)
+                for batch_id, batch in list(self._inflight.items())
+                if batch.worker_index == worker.index
             ]
-            for batch_id, _ in orphaned:
-                del self._inflight[batch_id]
-            endpoints = {inflight.endpoint for _, inflight in orphaned}
-            for endpoint in endpoints:
-                self._maybe_unlink(endpoint)
-            self._inflight_cv.notify_all()
             closing = self._closing
         worker.process.join(timeout=_JOIN_TIMEOUT_S)
-        exitcode = worker.process.exitcode
         if worker.wedged:
             exc = WorkerWedgedError(
                 f"worker process {worker.index} exceeded wedge_timeout_s="
@@ -1344,17 +824,14 @@ class MPInferenceServer:
         else:
             exc = WorkerCrashedError(
                 f"worker process {worker.index} died (exit code "
-                f"{exitcode}) with the batch in flight"
+                f"{worker.process.exitcode}) with the batch in flight"
             )
-        for _, inflight in orphaned:
-            self._fail_or_retry(inflight, exc)
+        for batch in orphaned:
+            self._resolve(batch, exc)
         if closing:
             return
         with self._stats_lock:
-            if worker.wedged:
-                self._wedged += 1
-            else:
-                self._crashes += 1
+            self._supervisor["wedged" if worker.wedged else "crashes"] += 1
         worker.close_pipes()
         with self._lock:
             if self._closing:
@@ -1364,65 +841,4 @@ class MPInferenceServer:
             self._workers[slot] = replacement
             self._workers_cv.notify_all()
         with self._stats_lock:
-            self._respawns += 1
-
-    # -- stats ---------------------------------------------------------------
-    def stats(self, endpoint: str | None = None) -> dict[str, float]:
-        """Serving counters: flat totals, or one endpoint's breakdown.
-
-        With ``endpoint`` given, returns that endpoint's counters
-        (``requests``/``responses``/``shed``/``expired``/``rejected``/
-        ``retries``/…) plus its ``mean_batch_size``. Without, returns
-        the familiar flat summary — every per-endpoint counter summed —
-        extended with the supervisor totals (``crashes``, ``wedged``,
-        ``respawns``, ``workers``) and a ``per_endpoint`` mapping of the
-        raw breakdowns. ``shed`` counts ``QueueFullError`` fast rejects,
-        ``rejected`` counts ``CircuitOpenError`` fast rejects,
-        ``expired`` counts deadline drops (scheduler- and worker-side),
-        ``retries`` counts transparently redispatched requests.
-        """
-        with self._stats_lock:
-            if endpoint is not None:
-                counts = dict(self._endpoint_stats.get(
-                    endpoint, dict.fromkeys(self._STAT_KEYS, 0)
-                ))
-                batches = counts["batches"]
-                counts["mean_batch_size"] = (
-                    counts["batched_rows"] / batches if batches else 0.0
-                )
-                return counts
-            totals = dict.fromkeys(self._STAT_KEYS, 0)
-            per_endpoint = {}
-            for name, counts in self._endpoint_stats.items():
-                per_endpoint[name] = dict(counts)
-                for key in self._STAT_KEYS:
-                    totals[key] += counts[key]
-            batches = totals["batches"]
-            batched_rows = totals.pop("batched_rows")
-            totals.pop("padded_rows")
-            totals.update(
-                crashes=self._crashes,
-                wedged=self._wedged,
-                respawns=self._respawns,
-                workers=len(self._workers),
-                mean_batch_size=(
-                    batched_rows / batches if batches else 0.0
-                ),
-                per_endpoint=per_endpoint,
-            )
-            return totals
-
-    def reset_stats(self) -> None:
-        """Zero every counter — per-endpoint breakdowns and supervisor
-        totals alike — e.g. between chaos-soak phases or bench rounds."""
-        with self._stats_lock:
-            self._endpoint_stats.clear()
-            self._crashes = self._wedged = self._respawns = 0
-
-    def __repr__(self) -> str:
-        state = "running" if self.running else "stopped"
-        return (
-            f"MPInferenceServer({state}, workers={self.worker_count}, "
-            f"endpoints={self.registry.endpoints()}, "
-            f"queue_depth={self.queue_depth})"
-        )
+            self._supervisor["respawns"] += 1

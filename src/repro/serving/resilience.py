@@ -1,14 +1,15 @@
 """Resilience policies: retries, circuit breaking, brownout degradation.
 
-PR 7 gave the multi-process server crash *detection* — SIGKILL is
-noticed, in-flight batches fail fast, the worker respawns. This module
-is the layer above detection: policies that turn failures the runtime
-can recover from into latency (or into cheaper answers) instead of
+The multi-process server detects crashes — SIGKILL is noticed,
+in-flight batches fail fast, the worker respawns. This module is the
+layer above detection: policies that turn failures the runtime can
+recover from into latency (or into cheaper answers) instead of
 client-visible errors.
 
-Three policies, each usable standalone and each wired through both
-serving runtimes (:class:`~repro.serving.server.InferenceServer` and
-:class:`~repro.serving.multiproc.MPInferenceServer`):
+Three policies, each usable standalone. The serving core
+(:class:`~repro.serving.server.InferenceServer`, which
+:class:`~repro.serving.multiproc.MPInferenceServer` extends) wires the
+first two in once for both runtimes, and the third drives either:
 
 - :class:`RetryPolicy` — compiled inference is **idempotent** (a forward
   has no side effects and the shared images make re-execution
@@ -84,6 +85,12 @@ class RetryPolicy:
 
     ``seed`` pins the jitter stream for deterministic tests; ``None``
     draws from a fresh system-seeded generator per server.
+
+    The serving core applies the policy per request: when a batch fails
+    with a retryable error, the members whose own deadline still admits
+    the next attempt are redispatched together on a timer thread after
+    the backoff (the longest member backoff), and the rest fail at once.
+    No retry is dispatched once the server's ``stop()`` has begun.
     """
 
     max_attempts: int = 3
@@ -196,8 +203,10 @@ class BreakerPolicy:
 class CircuitBreaker:
     """Rolling-window circuit breaker for one endpoint.
 
-    Thread-safe; both serving runtimes call :meth:`admit` synchronously
-    at ``submit()`` and :meth:`record` from each future's done callback.
+    Thread-safe; the serving core calls :meth:`admit` synchronously as
+    the last admission check of ``submit()`` (so an admitted probe is
+    never rejected afterwards) and :meth:`record` from each future's
+    done callback.
     The ``clock`` parameter (default ``time.monotonic``) makes the state
     machine deterministic under test.
 

@@ -28,13 +28,12 @@ caller scatters the first ``rows`` output rows back to the requests.
 from __future__ import annotations
 
 import queue
-import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, QueueFullError, ShapeError
+from repro.errors import ConfigurationError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -93,83 +92,25 @@ class MicroBatcher:
     """
 
     def __init__(self, policy: BatchPolicy | None = None, *,
-                 max_pending: int | None = None,
                  expired=None, on_expired=None):
-        if max_pending is not None and max_pending < 1:
-            raise ConfigurationError(
-                f"max_pending must be >= 1, got {max_pending}"
-            )
         if (expired is None) != (on_expired is None):
             raise ConfigurationError(
                 "expired and on_expired must be given together: the "
                 "predicate decides, the sink receives the dropped item"
             )
         self.policy = policy if policy is not None else BatchPolicy()
-        self.max_pending = max_pending
         self._expired = expired
         self._on_expired = on_expired
         self._queue: queue.Queue = queue.Queue()
-        # Admission counter, kept separately from Queue.qsize(): put/get
-        # adjust it under one lock so the bound cannot be oversubscribed
-        # by two racing producers, and force-puts (shutdown sentinels)
-        # bypass it entirely.
-        self._pending_lock = threading.Lock()
-        self._pending = 0
 
-    def put(self, item, *, force: bool = False) -> None:
-        """Enqueue one item; never blocks.
-
-        With ``max_pending`` set, a full queue raises
-        :class:`~repro.errors.QueueFullError` *immediately* — the
-        admission-control fast path: overload is reported to the caller
-        synchronously instead of growing an unbounded backlog.
-        ``force=True`` bypasses the bound (shutdown wake sentinels must
-        always land). Forced items are excluded from the admission
-        count end to end: they neither consume a slot going in nor
-        release one coming out, so a shutdown sentinel passing through
-        can never leak admission capacity that queued requests still
-        occupy.
-        """
-        if not force:
-            with self._pending_lock:
-                if (self.max_pending is not None
-                        and self._pending >= self.max_pending):
-                    raise QueueFullError(
-                        f"scheduler queue is full ({self.max_pending} "
-                        "pending items); shedding instead of queueing"
-                    )
-                self._pending += 1
-        # Entries carry whether they hold an admission slot, so the
-        # dequeue side releases exactly the slots the enqueue side took.
-        self._queue.put((item, not force))
+    def put(self, item) -> None:
+        """Enqueue one item; never blocks. Admission control is the
+        caller's job (the serving core bounds unresolved requests)."""
+        self._queue.put(item)
 
     def pending(self) -> int:
         """Number of queued items awaiting a batch (for stats/draining)."""
         return self._queue.qsize()
-
-    #: _take's "the expiry sink consumed this entry" result. A sentinel,
-    #: not None/False, because queued items are opaque and may be falsy.
-    _DROPPED = object()
-
-    def _take(self, entry):
-        """Account for a dequeued entry; route expired items to the sink.
-
-        Returns the item when it belongs in the batch, or ``_DROPPED``
-        when the expiry predicate claimed it (the sink — typically "fail
-        the future with DeadlineExceededError" — has already consumed
-        it). Only counted entries release an admission slot; expiry is
-        still checked for forced items, so a force-put request with a
-        lapsed deadline reaches the sink, not a batch.
-        """
-        item, counted = entry
-        if counted:
-            with self._pending_lock:
-                if self._pending > 0:
-                    self._pending -= 1
-        if self._expired is not None and self._expired(item):
-            self._on_expired(item)
-            return self._DROPPED
-        return item
 
     def next_batch(self, timeout: float | None = None) -> list | None:
         """Block up to ``timeout`` seconds for a batch; ``None`` if idle.
@@ -184,32 +125,25 @@ class MicroBatcher:
         costs no forward pass — the returned batch may then be empty.
         """
         try:
-            first = self._queue.get(timeout=timeout)
+            item = self._queue.get(timeout=timeout)
         except queue.Empty:
             return None
         batch = []
-        item = self._take(first)
-        if item is not self._DROPPED:
-            batch.append(item)
         deadline = time.monotonic() + self.policy.max_wait_ms / 1000.0
-        while len(batch) < self.policy.max_batch:
+        while True:
+            if self._expired is not None and self._expired(item):
+                self._on_expired(item)
+            else:
+                batch.append(item)
+            if len(batch) >= self.policy.max_batch:
+                return batch
             try:
-                item = self._take(self._queue.get_nowait())
-                if item is not self._DROPPED:
-                    batch.append(item)
-                continue
+                # A zero timeout still returns an already-queued item.
+                item = self._queue.get(
+                    timeout=max(0.0, deadline - time.monotonic())
+                )
             except queue.Empty:
-                pass
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                item = self._take(self._queue.get(timeout=remaining))
-                if item is not self._DROPPED:
-                    batch.append(item)
-            except queue.Empty:
-                break
-        return batch
+                return batch
 
 
 def check_sample_shape(

@@ -1,10 +1,22 @@
 """Batched inference serving on top of the spectral engine.
 
-:class:`InferenceServer` is the first subsystem above the layer API: it
-accepts single-sample requests from any number of client threads, lets a
-per-endpoint :class:`~repro.serving.scheduler.MicroBatcher` assemble them
-into micro-batches, runs **one compiled forward per batch** on a worker
-thread pool, and scatters the output rows back to per-request futures.
+:class:`InferenceServer` is the serving core. It accepts single-sample
+requests from any number of client threads, lets a per-endpoint
+:class:`~repro.serving.scheduler.MicroBatcher` assemble them into
+micro-batches, hands **one compiled forward per batch** to an executor,
+and scatters the output rows back to per-request futures.
+
+Everything a request passes through before and after the forward lives
+here, once, for both runtimes: admission (running check, ``queue_depth``,
+circuit breaker), ``deadline_ms`` expiry, lanes, length-bucket grouping,
+future claiming, batch assembly, the true-length scatter, per-request
+deadline-aware retries and one per-endpoint counter table. The executor
+is a hook, :meth:`InferenceServer._execute`, that runs an assembled
+batch and replies through :meth:`InferenceServer._finish` with
+``(generation, y)`` or the exception the batch raised. This class's own
+executor runs ``net.inference_forward`` on a thread pool;
+:class:`~repro.serving.multiproc.MPInferenceServer` overrides the hook
+(and ``start``/``stop``) to run it in worker processes.
 
 The concurrency contract
 ------------------------
@@ -31,7 +43,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ServerClosedError
+from repro.errors import (
+    ConfigurationError,
+    DeadlineExceededError,
+    QueueFullError,
+    ServerClosedError,
+)
 from repro.serving.registry import DEFAULT_ENDPOINT, ModelRegistry
 from repro.serving.resilience import (
     BreakerPolicy,
@@ -59,8 +76,7 @@ def resolve_many(futures, timeout: float | None = None) -> list:
     call gets only the time remaining, so a stalled burst fails after
     ``timeout`` seconds total — not ``N x timeout``, which is what naive
     per-future ``result(timeout)`` loops degrade to when the first
-    futures are the slow ones. Shared by ``InferenceServer.infer_many``
-    and ``MPInferenceServer.infer_many``.
+    futures are the slow ones. Used by ``infer_many`` on both runtimes.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
     responses = []
@@ -73,6 +89,18 @@ def resolve_many(futures, timeout: float | None = None) -> list:
     return responses
 
 
+def check_batch_deadline(deadline: float | None) -> None:
+    """Executor side: refuse to start a batch whose deadline has passed.
+
+    The batch deadline is the latest member deadline, so when it has
+    passed every member has missed and the forward would be wasted.
+    """
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceededError(
+            "the batch deadline passed before the worker could run it"
+        )
+
+
 @dataclass(frozen=True)
 class InferenceRequest:
     """One sample submitted to the server (the batch axis is added by
@@ -83,8 +111,8 @@ class InferenceRequest:
     x: np.ndarray
     enqueued_at: float  # time.monotonic()
     #: Absolute time.monotonic() deadline, or None for no deadline. The
-    #: multi-process server propagates it to workers; the scheduler drops
-    #: already-expired entries at batch formation.
+    #: scheduler drops already-expired entries at batch formation and
+    #: the executor drops a batch whose every member has expired.
     deadline: float | None = None
 
 
@@ -101,12 +129,33 @@ class InferenceResponse:
     latency_ms: float   # submit -> result ready
 
 
-class _Lane:
-    """Per-endpoint batcher plus the thread that forms its batches."""
+class _Batch:
+    """One assembled micro-batch, from dispatch until its reply."""
 
-    def __init__(self, batcher: MicroBatcher, thread: threading.Thread):
-        self.batcher = batcher
-        self.thread = thread
+    __slots__ = ("endpoint", "items", "rows", "padded", "padded_steps",
+                 "lengths", "time_axis", "closed", "attempt", "deadline",
+                 "generation", "worker_index", "began_at")
+
+    def __init__(self, endpoint, items, rows, padded, padded_steps,
+                 lengths, time_axis, closed, attempt):
+        self.endpoint = endpoint
+        self.items = items            # [(request, future), ...], claimed
+        self.rows = rows              # real rows (the batch may be padded)
+        self.padded = padded          # zero rows appended by assembly
+        self.padded_steps = padded_steps  # zero timesteps within the bucket
+        self.lengths = lengths        # true sequence lengths, or None
+        self.time_axis = time_axis    # sample time axis, or None
+        self.closed = closed          # lane batch-close instant
+        self.attempt = attempt        # 1 = first dispatch; bumped per retry
+        deadlines = [request.deadline for request, _ in items]
+        # The latest member deadline: expired members were dropped at
+        # batch formation, so once it passes every member has missed.
+        self.deadline = None if None in deadlines else max(deadlines)
+        # Process-executor bookkeeping: the generation the batch was
+        # tagged with, the worker slot running it, and its heartbeat.
+        self.generation = None
+        self.worker_index = None
+        self.began_at = None
 
 
 class InferenceServer:
@@ -126,17 +175,22 @@ class InferenceServer:
         length and are zero-padded within their bucket only, then each
         response carries its request's true-length output slice.
     workers:
-        Size of the thread pool that executes assembled batches. Safe to
-        raise because compiled forwards are read-only over the cached
+        Size of the executor pool: threads here, processes in
+        :class:`~repro.serving.multiproc.MPInferenceServer`. Threads are
+        safe because compiled forwards are read-only over the cached
         spectra; NumPy releases the GIL inside the FFT/GEMM kernels, so
         extra workers overlap real work.
+    queue_depth:
+        Bound on **unresolved** requests per endpoint — queued *and*
+        executing. When full, :meth:`submit` raises
+        :class:`~repro.errors.QueueFullError` synchronously: load is shed
+        at admission, never silently backlogged. ``None`` = unbounded.
     retry:
         Optional :class:`~repro.serving.resilience.RetryPolicy`. A batch
-        whose forward raises one of the policy's ``retry_on`` types is
-        re-run after jittered backoff (inference is idempotent) instead
-        of failing its futures — up to ``max_attempts`` and never past a
-        request deadline. Retries run on the worker thread that owns the
-        batch, so ``stop()``'s drain naturally waits for them.
+        that fails with one of the policy's ``retry_on`` types is
+        redispatched after jittered backoff (inference is idempotent),
+        per request, up to ``max_attempts`` and never past that
+        request's deadline.
     breaker:
         Optional :class:`~repro.serving.resilience.BreakerPolicy`. Each
         endpoint gets its own :class:`~repro.serving.resilience.CircuitBreaker`;
@@ -152,14 +206,24 @@ class InferenceServer:
             y = server.infer(x_sample)   # or submit() for a Future
     """
 
+    #: Per-endpoint counter names; stats() sums them for the flat view.
+    _STAT_KEYS = ("requests", "responses", "batches", "batched_rows",
+                  "padded_rows", "padded_steps", "errors", "cancelled",
+                  "shed", "expired", "rejected", "retries")
+
     def __init__(self, model, *, max_batch: int = 16,
                  max_wait_ms: float = 2.0,
                  pad_to_multiple: int | None = None,
                  bucket_multiple: int | None = None, workers: int = 2,
+                 queue_depth: int | None = None,
                  retry: RetryPolicy | None = None,
                  breaker: BreakerPolicy | None = None):
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        if queue_depth is not None and queue_depth < 1:
+            raise ConfigurationError(
+                f"queue_depth must be >= 1, got {queue_depth}"
+            )
         if isinstance(model, ModelRegistry):
             self.registry = model
         else:
@@ -171,15 +235,18 @@ class InferenceServer:
             bucket_multiple=bucket_multiple,
         )
         self.workers = workers
+        self.queue_depth = queue_depth
         self.retry = retry
         self._retry_rng = retry.rng() if retry is not None else None
         self._breaker_policy = breaker
         self._breakers: dict[str, CircuitBreaker] = {}
         self._executor: ThreadPoolExecutor | None = None
-        self._lanes: dict[str, _Lane] = {}
-        # RLock: submit() holds it across the running check, lane lookup
+        # endpoint -> (batcher, lane thread)
+        self._lanes: dict[str, tuple[MicroBatcher, threading.Thread]] = {}
+        # RLock: submit() holds it across the running check, admission
         # and enqueue so a concurrent stop() cannot strand a request in a
-        # lane whose consumer thread has already exited.
+        # lane whose consumer thread has already exited. It also guards
+        # the in-flight table, retry timers and admission counters.
         self._lock = threading.RLock()
         # Serialises start()/stop() end to end (joins included): a start()
         # racing a mid-drain stop() must not have its fresh executor and
@@ -188,36 +255,24 @@ class InferenceServer:
         self._stop = threading.Event()
         self._stop.set()  # not started yet
         self._ids = itertools.count()
+        self._batch_ids = itertools.count()
+        # Batches handed to the executor and not yet replied to.
+        self._inflight: dict[int, _Batch] = {}
+        self._inflight_cv = threading.Condition(self._lock)
+        # Unresolved requests per endpoint (queued + executing): the
+        # counter queue_depth bounds. Incremented at submit, released by
+        # each future's done callback.
+        self._outstanding: dict[str, int] = {}
+        # Pending retry timers (key -> (timer, endpoint, items, exc,
+        # closed, attempt)) and the count of fired retries still being
+        # redispatched; stop() fails the former and waits for the latter.
+        self._retry_timers: dict[int, tuple] = {}
+        self._retry_active = 0
         self._stats_lock = threading.Lock()
-        self._requests = 0
-        self._responses = 0
-        self._batches = 0
-        self._batched_rows = 0
-        self._padded_rows = 0
-        self._errors = 0
-        self._cancelled = 0
-        self._retries = 0
-        self._padded_steps = 0
-
-    # -- resilience ----------------------------------------------------------
-    def breaker(self, endpoint: str = DEFAULT_ENDPOINT) -> CircuitBreaker | None:
-        """The endpoint's circuit breaker (``None`` when not configured)."""
-        if self._breaker_policy is None:
-            return None
-        with self._lock:
-            breaker = self._breakers.get(endpoint)
-            if breaker is None:
-                breaker = CircuitBreaker(self._breaker_policy)
-                self._breakers[endpoint] = breaker
-            return breaker
-
-    @staticmethod
-    def _record_outcome(breaker: CircuitBreaker, future: Future) -> None:
-        # Done callback: feed the request outcome to the breaker. A
-        # client cancel is neither success nor failure — no sample.
-        if future.cancelled():
-            return
-        breaker.record(future.exception() is None)
+        self._endpoint_stats: dict[str, dict[str, int]] = {}
+        # Server-wide worker-supervision counters; only the process
+        # executor ever bumps them.
+        self._supervisor = dict.fromkeys(("crashes", "wedged", "respawns"), 0)
 
     # -- lifecycle -----------------------------------------------------------
     @property
@@ -231,9 +286,7 @@ class InferenceServer:
         always begins from a fully torn-down server.
         """
         with self._lifecycle:
-            with self._lock:
-                if self.running:
-                    return self
+            if not self.running:
                 self._executor = ThreadPoolExecutor(
                     max_workers=self.workers,
                     thread_name_prefix="repro-serving",
@@ -244,26 +297,43 @@ class InferenceServer:
     def stop(self) -> None:
         """Drain queued requests, finish in-flight batches, release threads.
 
-        Every request accepted before ``stop()`` is still served: lanes
-        drain their queues before exiting, then the worker pool shuts
-        down after the last batch completes.
+        Every request accepted before ``stop()`` resolves: lanes drain
+        their queues before exiting, then the worker pool shuts down
+        after the last batch completes.
         """
         with self._lifecycle:
-            with self._lock:
-                if not self.running:
-                    return
-                self._stop.set()
-                lanes = list(self._lanes.values())
-                executor = self._executor
-            for lane in lanes:
-                lane.batcher.put(_WAKE)
-            for lane in lanes:
-                lane.thread.join()
-            if executor is not None:
-                executor.shutdown(wait=True)
-            with self._lock:
-                self._lanes.clear()
-                self._executor = None
+            if not self.running:
+                return
+            self._drain(None)
+            self._executor.shutdown(wait=True)
+            self._executor = None
+
+    def _drain(self, timeout: float | None) -> bool:
+        """Close admission, flush every lane and wait for in-flight work.
+
+        Retries still waiting out their backoff fail now with the fault
+        that triggered them (they would only fail on firing: no retry is
+        dispatched once stop() began). Returns whether every in-flight
+        batch settled within ``timeout`` seconds.
+        """
+        with self._lock:
+            self._stop.set()
+            lanes = list(self._lanes.values())
+            pending = list(self._retry_timers.values())
+            self._retry_timers.clear()
+        for timer, endpoint, items, exc, _, _ in pending:
+            timer.cancel()
+            self._fail(endpoint, items, exc)
+        for batcher, _ in lanes:
+            batcher.put(_WAKE)
+        for _, thread in lanes:
+            thread.join()
+        with self._inflight_cv:
+            self._lanes.clear()
+            return self._inflight_cv.wait_for(
+                lambda: not self._inflight and self._retry_active == 0,
+                timeout=timeout,
+            )
 
     def __enter__(self) -> "InferenceServer":
         return self.start()
@@ -272,81 +342,145 @@ class InferenceServer:
         self.stop()
 
     # -- request path --------------------------------------------------------
-    def submit(self, x, endpoint: str = DEFAULT_ENDPOINT) -> Future:
+    def submit(self, x, endpoint: str = DEFAULT_ENDPOINT,
+               deadline_ms: float | None = None) -> Future:
         """Enqueue one sample; returns a Future of
         :class:`InferenceResponse`.
 
         ``x`` is a single sample (no batch axis) matching the endpoint's
-        ``input_sample_shape``; shape problems raise here, at submit
-        time, so a malformed request can never poison the micro-batch it
-        would have joined. With a breaker configured, an open circuit
-        fast-rejects here with :class:`~repro.errors.CircuitOpenError`
-        — synchronously, never after queueing.
+        ``input_sample_shape``; shape problems raise
+        :class:`~repro.errors.ShapeError` here, at submit time, so a
+        malformed request can never poison the micro-batch it would have
+        joined. Admission rejects synchronously, never after queueing:
+        :class:`~repro.errors.ServerClosedError` when not running,
+        :class:`~repro.errors.QueueFullError` when the endpoint already
+        holds ``queue_depth`` unresolved requests, and
+        :class:`~repro.errors.CircuitOpenError` while its breaker is
+        open. ``deadline_ms`` sets a relative deadline; a request that
+        cannot be served in time fails with
+        :class:`~repro.errors.DeadlineExceededError` instead of
+        occupying a batch.
         """
         net, _ = self.registry.snapshot(endpoint)
         x = np.asarray(x, dtype=np.float64)
-        check_sample_shape(
-            x.shape, getattr(net, "input_sample_shape", None)
-        )
-        breaker = self.breaker(endpoint)
-        if breaker is not None:
-            breaker.admit()
+        check_sample_shape(x.shape, getattr(net, "input_sample_shape", None))
+        now = time.monotonic()
         request = InferenceRequest(
             request_id=next(self._ids), endpoint=endpoint, x=x,
-            enqueued_at=time.monotonic(),
+            enqueued_at=now,
+            deadline=None if deadline_ms is None else now + deadline_ms / 1e3,
         )
         future: Future = Future()
-        if breaker is not None:
-            future.add_done_callback(
-                lambda f, b=breaker: self._record_outcome(b, f)
-            )
+        breaker = self.breaker(endpoint)
         # Check-and-enqueue atomically w.r.t. stop(): once the item is in
         # a lane queue, stop() is guaranteed to drain it.
         with self._lock:
             if not self.running:
                 raise ServerClosedError(
-                    "InferenceServer is not running; call start() or use "
-                    "it as a context manager"
+                    f"{type(self).__name__} is not running; call start() "
+                    "or use it as a context manager"
                 )
-            self._lane(endpoint).batcher.put((request, future))
-        with self._stats_lock:
-            self._requests += 1
+            outstanding = self._outstanding.get(endpoint, 0)
+            if self.queue_depth is not None and outstanding >= self.queue_depth:
+                self._bump(endpoint, shed=1)
+                raise QueueFullError(
+                    f"endpoint {endpoint!r} already has "
+                    f"{self.queue_depth} unresolved requests; shedding "
+                    "instead of queueing"
+                )
+            # The breaker goes last: a half-open admit() consumes a probe
+            # that only this request's outcome gives back, so no later
+            # check may reject the request after it.
+            if breaker is not None:
+                try:
+                    breaker.admit()
+                except Exception:
+                    self._bump(endpoint, rejected=1)
+                    raise
+            self._outstanding[endpoint] = outstanding + 1
+            future.add_done_callback(
+                lambda f, e=endpoint, b=breaker: self._request_done(e, b, f)
+            )
+            self._lane(endpoint).put((request, future))
+        self._bump(endpoint, requests=1)
         return future
 
     def infer(self, x, endpoint: str = DEFAULT_ENDPOINT,
-              timeout: float | None = None) -> np.ndarray:
+              timeout: float | None = None,
+              deadline_ms: float | None = None) -> np.ndarray:
         """Synchronous single-sample convenience: submit and wait."""
-        return self.submit(x, endpoint).result(timeout).y
+        return self.submit(x, endpoint, deadline_ms).result(timeout).y
 
-    def submit_many(self, samples,
-                    endpoint: str = DEFAULT_ENDPOINT) -> list[Future]:
+    def submit_many(self, samples, endpoint: str = DEFAULT_ENDPOINT,
+                    deadline_ms: float | None = None) -> list[Future]:
         """Enqueue a burst of samples; returns their futures in order."""
-        return [self.submit(x, endpoint) for x in samples]
+        return [self.submit(x, endpoint, deadline_ms) for x in samples]
 
     def infer_many(self, samples, endpoint: str = DEFAULT_ENDPOINT,
-                   timeout: float | None = None) -> list[np.ndarray]:
+                   timeout: float | None = None,
+                   deadline_ms: float | None = None) -> list[np.ndarray]:
         """Submit a burst of samples, return their outputs in order.
 
         ``timeout`` bounds the whole burst (one shared deadline via
         :func:`resolve_many`), not each result individually.
         """
-        futures = self.submit_many(samples, endpoint)
+        futures = self.submit_many(samples, endpoint, deadline_ms)
         return [r.y for r in resolve_many(futures, timeout)]
 
-    # -- internals -----------------------------------------------------------
-    def _lane(self, endpoint: str) -> _Lane:
+    # -- resilience ----------------------------------------------------------
+    def breaker(self, endpoint: str = DEFAULT_ENDPOINT) -> CircuitBreaker | None:
+        """The endpoint's circuit breaker (``None`` when not configured)."""
+        if self._breaker_policy is None:
+            return None
         with self._lock:
-            lane = self._lanes.get(endpoint)
-            if lane is None:
-                batcher = MicroBatcher(self.policy)
-                thread = threading.Thread(
-                    target=self._lane_loop, args=(endpoint, batcher),
-                    name=f"repro-serving-lane-{endpoint}", daemon=True,
-                )
-                lane = _Lane(batcher, thread)
-                self._lanes[endpoint] = lane
-                thread.start()
-            return lane
+            breaker = self._breakers.get(endpoint)
+            if breaker is None:
+                breaker = CircuitBreaker(self._breaker_policy)
+                self._breakers[endpoint] = breaker
+            return breaker
+
+    def _request_done(self, endpoint: str, breaker, future: Future) -> None:
+        # Every admitted request releases its admission slot and (when a
+        # breaker is configured) votes on the endpoint's health: any
+        # exception — executor fault, deadline miss — counts as a
+        # failure. A client cancel is neither success nor failure.
+        with self._lock:
+            self._outstanding[endpoint] -= 1
+        if breaker is not None and not future.cancelled():
+            breaker.record(future.exception() is None)
+
+    # -- lanes and dispatch --------------------------------------------------
+    def _lane(self, endpoint: str) -> MicroBatcher:
+        # Caller holds self._lock.
+        lane = self._lanes.get(endpoint)
+        if lane is None:
+            batcher = MicroBatcher(
+                self.policy,
+                expired=self._is_expired, on_expired=self._expire_item,
+            )
+            thread = threading.Thread(
+                target=self._lane_loop, args=(endpoint, batcher),
+                name=f"repro-serving-lane-{endpoint}", daemon=True,
+            )
+            lane = self._lanes[endpoint] = (batcher, thread)
+            thread.start()
+        return lane[0]
+
+    @staticmethod
+    def _is_expired(item) -> bool:
+        if item is _WAKE:
+            return False
+        deadline = item[0].deadline
+        return deadline is not None and time.monotonic() > deadline
+
+    def _expire_item(self, item) -> None:
+        request, future = item
+        self._bump(request.endpoint, expired=1)
+        if future.set_running_or_notify_cancel():
+            future.set_exception(DeadlineExceededError(
+                f"request {request.request_id} missed its deadline before "
+                "a batch could be formed"
+            ))
 
     def _lane_loop(self, endpoint: str, batcher: MicroBatcher) -> None:
         while True:
@@ -357,26 +491,41 @@ class InferenceServer:
                 continue
             closed = time.monotonic()
             items = [item for item in batch if item is not _WAKE]
-            if not items:
-                continue
-            # stop() nulls the executor only after joining this thread,
-            # so it is always live here; batches submitted while draining
-            # still run before shutdown(wait=True) returns.
-            self._executor.submit(self._run_batch, endpoint, items, closed)
+            if items:
+                self._dispatch(endpoint, items, closed)
 
-    def _run_batch(self, endpoint: str, items: list, closed: float) -> None:
-        # ``closed`` is the lane's batch-close instant: measuring it here
-        # (or per group) would fold executor-queue wait and earlier
-        # sub-batches' forward time into queued_ms.
+    def _dispatch(self, endpoint: str, items: list, closed: float,
+                  attempt: int = 1) -> None:
+        """Group one closed window into batches and hand each to the executor.
+
+        ``closed`` is the lane's batch-close instant (measuring it later
+        would fold executor-queue wait into ``queued_ms``). A retry
+        (``attempt > 1``) redispatches requests whose futures the first
+        attempt already claimed.
+        """
+        if attempt == 1:
+            # Claim every future before doing work: a client that gave up
+            # may have cancelled, and calling set_result on a cancelled
+            # future raises mid-scatter — stranding every later request in
+            # the batch. Once RUNNING, cancel() can no longer win the race.
+            live = [item for item in items
+                    if item[1].set_running_or_notify_cancel()]
+            if len(live) < len(items):
+                self._bump(endpoint, cancelled=len(items) - len(live))
+            items = live
+        if not items:
+            return
+        try:
+            net, _ = self.registry.snapshot(endpoint)
+        except ConfigurationError as exc:
+            # Unregistered while the window was open: fail, never strand.
+            self._fail(endpoint, items, exc)
+            return
         # Endpoints with wildcard axes (CONV spatial dims) can legally mix
-        # sample shapes inside one scheduling window; stack each concrete
-        # shape as its own sub-batch so valid requests never fail each
-        # other. Fixed-shape endpoints always form a single group.
-        # Sequence endpoints (a declared ``time_axis``) group by **length
-        # bucket** instead: the time axis of the key is the request's
-        # length rounded up per ``bucket_multiple``, so ragged sequences
-        # batch together and are padded within their bucket only.
-        net, _ = self.registry.snapshot(endpoint)
+        # sample shapes inside one window; stack each concrete shape as
+        # its own batch so valid requests never fail each other. Sequence
+        # endpoints (a declared ``time_axis``) group by **length bucket**:
+        # ragged sequences batch together, padded within their bucket only.
         time_axis = getattr(net, "time_axis", None)
         groups: dict[tuple, list] = {}
         for item in items:
@@ -385,102 +534,103 @@ class InferenceServer:
             )
             groups.setdefault(key, []).append(item)
         for group in groups.values():
-            self._run_group(endpoint, group, closed, time_axis)
+            self._dispatch_group(endpoint, group, closed, time_axis, attempt)
 
-    def _run_group(self, endpoint: str, items: list, closed: float,
-                   time_axis: int | None = None) -> None:
-        # Claim every future before doing work: a client that gave up may
-        # have cancelled, and calling set_result on a cancelled future
-        # raises InvalidStateError mid-scatter — stranding every later
-        # request in the batch. Once a future is RUNNING, cancel() can no
-        # longer win the race, so the scatter below is safe.
-        live = [
-            (request, future) for request, future in items
-            if future.set_running_or_notify_cancel()
-        ]
-        if len(live) < len(items):
-            with self._stats_lock:
-                self._cancelled += len(items) - len(live)
-        if not live:
+    def _dispatch_group(self, endpoint: str, items: list, closed: float,
+                        time_axis: int | None, attempt: int) -> None:
+        samples = [request.x for request, _ in items]
+        try:
+            if time_axis is None:
+                x, rows = assemble_batch(samples, self.policy.pad_to_multiple)
+                lengths, padded_steps = None, 0
+            else:
+                x, rows, lengths = assemble_sequence_batch(
+                    samples, time_axis, self.policy.bucket_multiple,
+                    self.policy.pad_to_multiple,
+                )
+                # Time-axis padding waste, in steps (rows x steps would
+                # conflate the two axes).
+                padded_steps = x.shape[1 + time_axis] * rows - sum(lengths)
+        except Exception as exc:
+            self._fail(endpoint, items, exc)
             return
-        requests = [request for request, _ in live]
-        futures = [future for _, future in live]
-        # The retry cutoff is the earliest member deadline: a policy must
-        # never schedule work past *any* member's deadline. (The thread
-        # server's submit() does not set deadlines today, so this is
-        # normally None; retries are then bounded by max_attempts alone.)
-        deadlines = [
-            request.deadline for request in requests
-            if request.deadline is not None
-        ]
-        deadline = min(deadlines) if deadlines else None
-        attempt = 1
-        while True:
-            try:
-                # One snapshot per batch (re-resolved per attempt, so a
-                # retry lands on the freshest generation): the hot-swap
-                # atomicity contract.
-                net, generation = self.registry.snapshot(endpoint)
-                if time_axis is not None:
-                    x, rows, lengths = assemble_sequence_batch(
-                        [request.x for request in requests], time_axis,
-                        self.policy.bucket_multiple,
-                        self.policy.pad_to_multiple,
-                    )
-                else:
-                    x, rows = assemble_batch(
-                        [request.x for request in requests],
-                        self.policy.pad_to_multiple,
-                    )
-                    lengths = None
-                y = np.asarray(net.inference_forward(x))[:rows]
-                if y.shape[0] != len(requests):
-                    # A model that collapses the batch axis would
-                    # otherwise leave the excess futures unresolved
-                    # forever (zip stops at the shorter side); fail the
-                    # whole batch loudly.
-                    raise RuntimeError(
-                        f"endpoint {endpoint!r} returned {y.shape[0]} "
-                        f"output rows for a batch of {len(requests)} "
-                        "requests"
-                    )
-                break
-            except BaseException as exc:
-                at = None
-                if self.retry is not None and self.retry.retryable(exc):
-                    at = self.retry.next_attempt_at(
-                        attempt + 1, time.monotonic(), deadline,
-                        self._retry_rng,
-                    )
-                if at is None:
-                    with self._stats_lock:
-                        self._errors += len(futures)
-                    for future in futures:
-                        future.set_exception(exc)
-                    return
-                # Back off on this worker thread: compiled inference is
-                # idempotent, so re-running the batch is safe, and
-                # stop()'s executor drain naturally waits out the retry.
-                time.sleep(max(0.0, at - time.monotonic()))
-                attempt += 1
-                with self._stats_lock:
-                    self._retries += 1
+        batch = _Batch(endpoint, items, rows, x.shape[0] - rows,
+                       padded_steps, lengths, time_axis, closed, attempt)
+        with self._lock:
+            batch_id = next(self._batch_ids)
+            self._inflight[batch_id] = batch
+        self._execute(batch_id, batch, x)
+
+    # -- the executor hook ---------------------------------------------------
+    def _execute(self, batch_id: int, batch: _Batch, x: np.ndarray) -> None:
+        """Run one assembled batch; reply via :meth:`_finish`.
+
+        The thread executor queues the forward on its pool. Called on a
+        lane thread (or a retry timer) with ``batch_id`` already in the
+        in-flight table; must not block on the forward.
+        """
+        self._executor.submit(self._run, batch_id, batch.endpoint,
+                              batch.deadline, x)
+
+    def _run(self, batch_id: int, endpoint: str, deadline, x) -> None:
+        try:
+            check_batch_deadline(deadline)
+            # One snapshot per batch (re-resolved per attempt, so a retry
+            # lands on the freshest generation): the hot-swap contract.
+            net, generation = self.registry.snapshot(endpoint)
+            outcome = generation, np.asarray(net.inference_forward(x))
+        except BaseException as exc:  # noqa: BLE001 - replied to the core
+            outcome = exc
+        self._finish(batch_id, outcome)
+
+    def _finish(self, batch_id: int, outcome) -> None:
+        """The executor's reply: ``(generation, y)`` or an exception.
+
+        A batch already settled (its worker was reaped meanwhile) is
+        ignored.
+        """
+        with self._lock:
+            batch = self._take(batch_id)
+        if batch is not None:
+            self._resolve(batch, outcome)
+
+    def _take(self, batch_id: int) -> _Batch | None:
+        # Caller holds self._lock: remove a settled batch from flight.
+        batch = self._inflight.pop(batch_id, None)
+        self._inflight_cv.notify_all()
+        return batch
+
+    def _resolve(self, batch: _Batch, outcome) -> None:
+        if isinstance(outcome, BaseException):
+            with self._lock:
+                failed = self._schedule_retry(batch, outcome)
+            if failed:
+                self._fail(batch.endpoint, failed, outcome)
+        else:
+            self._scatter(batch, *outcome)
+
+    def _scatter(self, batch: _Batch, generation: int, y) -> None:
+        endpoint, items, rows = batch.endpoint, batch.items, batch.rows
+        y = y[:rows]
+        if y.shape[0] != rows:
+            # A model that collapses the batch axis would otherwise leave
+            # the excess futures unresolved forever (zip stops at the
+            # shorter side); fail the whole batch loudly.
+            self._fail(endpoint, items, RuntimeError(
+                f"endpoint {endpoint!r} returned {y.shape[0]} output rows "
+                f"for a batch of {rows} requests"
+            ))
+            return
         done = time.monotonic()
-        for index, (row, (request, future)) in enumerate(zip(y, live)):
-            out = row
-            if (
-                lengths is not None
-                and out.ndim > time_axis
-                and out.shape[time_axis] != lengths[index]
-            ):
+        lengths, axis = batch.lengths, batch.time_axis
+        for index, (out, (request, future)) in enumerate(zip(y, items)):
+            if (lengths is not None and out.ndim > axis
+                    and out.shape[axis] != lengths[index]):
                 # Slice the response back to the request's true length:
                 # within-bucket zero padding is an internal batching
-                # detail, never visible to the client. A network that
-                # collapses the time axis (out.ndim <= time_axis) has
-                # nothing to slice — the row already is per-request.
-                slicer = [slice(None)] * out.ndim
-                slicer[time_axis] = slice(0, lengths[index])
-                out = out[tuple(slicer)]
+                # detail. A network that collapses the time axis
+                # (out.ndim <= axis) has nothing to slice.
+                out = out[(slice(None),) * axis + (slice(0, lengths[index]),)]
             future.set_result(InferenceResponse(
                 request_id=request.request_id,
                 endpoint=endpoint,
@@ -489,43 +639,127 @@ class InferenceServer:
                 y=out.copy(),
                 batch_size=rows,
                 generation=generation,
-                queued_ms=(closed - request.enqueued_at) * 1e3,
+                queued_ms=(batch.closed - request.enqueued_at) * 1e3,
                 latency_ms=(done - request.enqueued_at) * 1e3,
             ))
-        with self._stats_lock:
-            self._responses += rows
-            self._batches += 1
-            self._batched_rows += rows
-            self._padded_rows += x.shape[0] - rows
-            if lengths is not None:
-                # Time-axis padding waste (rows x steps would conflate
-                # the two axes; this counts padded steps only).
-                self._padded_steps += sum(
-                    x.shape[1 + time_axis] - length for length in lengths
-                )
+        self._bump(endpoint, responses=rows, batches=1, batched_rows=rows,
+                   padded_rows=batch.padded, padded_steps=batch.padded_steps)
 
-    def stats(self) -> dict[str, float]:
-        """Serving counters (requests, batches, mean batch size, errors)."""
+    def _fail(self, endpoint: str, items: list, exc: BaseException) -> None:
+        # Deadline drops are accounted under "expired", not "errors".
+        key = "expired" if isinstance(exc, DeadlineExceededError) else "errors"
+        self._bump(endpoint, **{key: len(items)})
+        for _, future in items:
+            future.set_exception(exc)
+
+    # -- retries -------------------------------------------------------------
+    def _schedule_retry(self, batch: _Batch, exc: BaseException) -> list:
+        """Reschedule the members a retry can still serve; return the rest.
+
+        Caller holds self._lock. With a :class:`RetryPolicy` configured
+        and the fault retryable, every request whose own deadline still
+        admits another attempt is redispatched after the policy's
+        jittered backoff. Nothing is retried once stop() has begun.
+        """
+        policy = self.retry
+        if policy is None or not policy.retryable(exc) or not self.running:
+            return batch.items
+        attempt = batch.attempt + 1
+        now = time.monotonic()
+        retry, failed, latest = [], [], now
+        for item in batch.items:
+            at = policy.next_attempt_at(
+                attempt, now, item[0].deadline, self._retry_rng
+            )
+            if at is None:
+                failed.append(item)
+            else:
+                retry.append(item)
+                latest = max(latest, at)
+        if retry:
+            self._bump(batch.endpoint, retries=len(retry))
+            key = next(self._batch_ids)
+            timer = threading.Timer(latest - now, self._fire_retry, (key,))
+            timer.daemon = True
+            self._retry_timers[key] = (timer, batch.endpoint, retry, exc,
+                                       batch.closed, attempt)
+            timer.start()
+        return failed
+
+    def _fire_retry(self, key: int) -> None:
+        with self._lock:
+            claim = self._retry_timers.pop(key, None)
+            if claim is None:
+                return  # stop() already failed these requests
+            self._retry_active += 1
+        _, endpoint, items, _, closed, attempt = claim
+        try:
+            self._dispatch(endpoint, items, closed, attempt)
+        finally:
+            with self._inflight_cv:
+                self._retry_active -= 1
+                self._inflight_cv.notify_all()
+
+    # -- stats ---------------------------------------------------------------
+    def _bump(self, endpoint: str, **deltas) -> None:
         with self._stats_lock:
-            batches = self._batches
-            return {
-                "requests": self._requests,
-                "responses": self._responses,
-                "batches": batches,
-                "errors": self._errors,
-                "cancelled": self._cancelled,
-                "retries": self._retries,
-                "padded_rows": self._padded_rows,
-                "padded_steps": self._padded_steps,
-                "mean_batch_size": (
-                    self._batched_rows / batches if batches else 0.0
-                ),
-            }
+            counts = self._endpoint_stats.get(endpoint)
+            if counts is None:
+                counts = self._endpoint_stats[endpoint] = dict.fromkeys(
+                    self._STAT_KEYS, 0
+                )
+            for key, delta in deltas.items():
+                counts[key] += delta
+
+    def stats(self, endpoint: str | None = None) -> dict:
+        """Serving counters: flat totals, or one endpoint's breakdown.
+
+        With ``endpoint`` given, returns that endpoint's counters plus
+        its ``mean_batch_size``. Without, returns every per-endpoint
+        counter summed, the worker-supervision totals (``crashes``,
+        ``wedged``, ``respawns``; always 0 on threads), ``workers``,
+        ``mean_batch_size`` and a ``per_endpoint`` mapping of the raw
+        breakdowns. Both runtimes return the same keys; the table in
+        ``docs/serving_runtime.md`` defines each.
+        """
+        with self._stats_lock:
+            if endpoint is not None:
+                counts = dict(self._endpoint_stats.get(endpoint) or
+                              dict.fromkeys(self._STAT_KEYS, 0))
+                batches = counts["batches"]
+                counts["mean_batch_size"] = (
+                    counts["batched_rows"] / batches if batches else 0.0
+                )
+                return counts
+            totals = dict.fromkeys(self._STAT_KEYS, 0)
+            per_endpoint = {}
+            for name, counts in self._endpoint_stats.items():
+                per_endpoint[name] = dict(counts)
+                for key in self._STAT_KEYS:
+                    totals[key] += counts[key]
+            batches = totals["batches"]
+            batched_rows = totals.pop("batched_rows")
+            totals.update(
+                self._supervisor,
+                workers=self.workers,
+                mean_batch_size=batched_rows / batches if batches else 0.0,
+                per_endpoint=per_endpoint,
+            )
+            return totals
+
+    def reset_stats(self) -> None:
+        """Zero every counter — per-endpoint breakdowns and supervisor
+        totals alike — e.g. between chaos-soak phases or bench rounds."""
+        with self._stats_lock:
+            self._endpoint_stats.clear()
+            self._supervisor = dict.fromkeys(self._supervisor, 0)
 
     def __repr__(self) -> str:
         state = "running" if self.running else "stopped"
         return (
-            f"InferenceServer({state}, endpoints={self.registry.endpoints()}, "
+            f"{type(self).__name__}({state}, workers={self.workers}, "
+            f"endpoints={self.registry.endpoints()}, "
             f"max_batch={self.policy.max_batch}, "
-            f"max_wait_ms={self.policy.max_wait_ms})"
+            f"max_wait_ms={self.policy.max_wait_ms}, "
+            f"queue_depth={self.queue_depth})"
         )

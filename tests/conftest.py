@@ -52,3 +52,31 @@ def assert_layer_gradients(layer, x: np.ndarray, rng: np.random.Generator,
             param.grad, grad_num, atol=atol,
             err_msg=f"parameter gradient mismatch: {name}",
         )
+
+
+@pytest.fixture(params=["thread", pytest.param("process", marks=pytest.mark.mp)])
+def server_factory(request):
+    """Build a serving runtime on either executor with the same keywords.
+
+    ``server_factory(model, **kwargs)`` returns an unstarted
+    ``InferenceServer`` (thread executor) or ``MPInferenceServer``
+    (process executor, marked ``mp``); every server it built is stopped
+    at teardown, a process server with a bounded drain so a wedged
+    worker cannot hang the suite.
+    """
+    from repro.serving import InferenceServer, MPInferenceServer
+
+    runtime = InferenceServer if request.param == "thread" else MPInferenceServer
+    built = []
+
+    def make(model, **kwargs):
+        server = runtime(model, **kwargs)
+        built.append(server)
+        return server
+
+    yield make
+    for server in built:
+        if request.param == "process":
+            server.stop(drain_timeout_s=30.0)
+        else:
+            server.stop()

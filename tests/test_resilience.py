@@ -6,8 +6,7 @@ retry / circuit-breaker / brownout behaviour is exercised here
 in-process; the multi-process integration lives in
 ``tests/test_serving_resilience.py`` (marked ``mp``). Also covered: the
 registry's brownout ladder and subscriber hardening, the MicroBatcher
-force-put admission accounting, and the thread server's retry/breaker
-wiring.
+expiry sink, and the thread server's retry/breaker wiring.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import pytest
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
+    DeadlineExceededError,
     QueueFullError,
     ServerClosedError,
     ServingError,
@@ -455,26 +455,8 @@ class TestDegradationController:
         assert controller.level == 0  # idle: never stepped
 
 
-# -- MicroBatcher force-put accounting ---------------------------------------
+# -- MicroBatcher expiry of the shutdown path ---------------------------------
 class TestMicroBatcherForcePut:
-    def test_forced_items_do_not_steal_admission_slots(self):
-        batcher = MicroBatcher(BatchPolicy(max_batch=8, max_wait_ms=0.0),
-                               max_pending=2)
-        batcher.put("a")
-        batcher.put("b")
-        with pytest.raises(QueueFullError):
-            batcher.put("c")
-        # A forced sentinel passes the full queue without a slot...
-        batcher.put("wake", force=True)
-        batch = batcher.next_batch(timeout=0.1)
-        assert batch == ["a", "b", "wake"]
-        # ...and draining it released exactly the two counted slots: the
-        # bound is still 2, not inflated by the forced item's passage.
-        batcher.put("d")
-        batcher.put("e")
-        with pytest.raises(QueueFullError):
-            batcher.put("f")
-
     def test_forced_item_with_lapsed_deadline_reaches_the_sink(self):
         dropped = []
         batcher = MicroBatcher(
@@ -482,7 +464,9 @@ class TestMicroBatcherForcePut:
             expired=lambda item: item == "late",
             on_expired=dropped.append,
         )
-        batcher.put("late", force=True)
+        # Queued ahead of live work, the way a lapsed request sits ahead
+        # of the shutdown wake sentinel: it still reaches the sink.
+        batcher.put("late")
         batcher.put("ok")
         assert batcher.next_batch(timeout=0.1) == ["ok"]
         assert dropped == ["late"]
@@ -555,6 +539,84 @@ class TestThreadServerResilience:
             y = server.infer(np.ones(4), timeout=30.0)
             np.testing.assert_array_equal(y, 2.0 * np.ones(4))
             assert server.breaker("default").state == "closed"
+
+    def test_rejected_admission_does_not_leak_a_half_open_probe(self):
+        # Regression: admit() used to run before the running check, so a
+        # submit on a stopped server consumed the half-open probe and no
+        # outcome ever gave it back: the endpoint fast-rejected forever.
+        net = _FlakyNet(failures=2)
+        breaker = BreakerPolicy(window_s=60.0, min_requests=2,
+                                failure_threshold=0.5, cooldown_s=0.0)
+        server = InferenceServer(net, max_wait_ms=0.0, workers=1,
+                                 breaker=breaker)
+        with server:
+            for _ in range(2):
+                with pytest.raises(WorkerCrashedError):
+                    server.infer(np.ones(4), timeout=30.0)
+        assert server.breaker().state == "open"
+        with pytest.raises(ServerClosedError):
+            server.submit(np.ones(4))
+        with server:
+            y = server.infer(np.ones(4), timeout=30.0)
+        np.testing.assert_array_equal(y, 2.0 * np.ones(4))
+        assert server.breaker().state == "closed"
+
+    def test_degradation_controller_steps_a_thread_server_down(self):
+        registry = ModelRegistry()
+        _, low = registry.set_ladder("ep", [_net(seed=1), _net(seed=2)])
+        x = np.ones(32)
+        policy = DegradationPolicy(step_down_pressure=0.2,
+                                   step_up_pressure=0.02, dwell_s=0.0,
+                                   recovery_s=60.0)
+        with InferenceServer(registry, max_batch=1, max_wait_ms=0.0,
+                             workers=1, queue_depth=2) as server:
+            controller = DegradationController(server, "ep", policy)
+            assert controller.tick() == 0
+            # Holding the server lock pins the lane before its first
+            # batch registers, so nothing resolves: two requests fill
+            # queue_depth and the burst behind them is shed.
+            with server._lock:
+                admitted = [server.submit(x, "ep") for _ in range(2)]
+                for _ in range(6):
+                    with pytest.raises(QueueFullError):
+                        server.submit(x, "ep")
+            assert server.stats("ep")["shed"] == 6
+            assert controller.tick() == 1  # pressure 6/8
+            for future in admitted:
+                future.result(30.0)
+            np.testing.assert_array_equal(
+                server.infer(x, "ep", timeout=30.0),
+                low.inference_forward(x[None])[0],
+            )
+            assert controller.tick() == 1  # quiet, but recovery_s holds
+
+    def test_executor_drops_a_batch_whose_deadline_passed_in_its_queue(
+        self
+    ):
+        # One pool thread, held inside a forward: the next batch forms in
+        # time but waits in the pool's queue past its deadline, so the
+        # executor fails it instead of running a useless forward.
+        release = threading.Event()
+
+        class GatedNet(_FlakyNet):
+            def inference_forward(self, x):
+                release.wait(30.0)
+                return super().inference_forward(x)
+
+        net = GatedNet(failures=0)
+        with InferenceServer(net, max_batch=1, max_wait_ms=0.0,
+                             workers=1) as server:
+            held = server.submit(np.ones(4))
+            doomed = server.submit(np.ones(4), deadline_ms=20.0)
+            time.sleep(0.1)
+            release.set()
+            np.testing.assert_array_equal(held.result(30.0).y,
+                                          2.0 * np.ones(4))
+            with pytest.raises(DeadlineExceededError, match="worker"):
+                doomed.result(30.0)
+        assert net.calls == 1
+        assert server.stats()["expired"] == 1
+        assert server.stats()["errors"] == 0
 
     def test_submit_after_stop_raises_server_closed(self):
         server = InferenceServer(_FlakyNet(failures=0), max_wait_ms=0.0)

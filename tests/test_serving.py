@@ -16,7 +16,7 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 from repro.circulant import SpectralWeightCache
-from repro.errors import ConfigurationError, QueueFullError, ShapeError
+from repro.errors import ConfigurationError, ShapeError
 from repro.nn import (
     SGD,
     BlockCirculantConv2D,
@@ -697,7 +697,7 @@ class TestMicroBatcherEdgeCases:
         wake = object()
         for i in range(5):
             batcher.put(i)
-        batcher.put(wake, force=True)
+        batcher.put(wake)
         drained = []
         while batcher.pending() > 0:
             batch = batcher.next_batch(timeout=0.5)
@@ -739,41 +739,6 @@ class TestMicroBatcherEdgeCases:
             MicroBatcher(expired=lambda item: False)
         with pytest.raises(ConfigurationError, match="together"):
             MicroBatcher(on_expired=lambda item: None)
-
-
-class TestMicroBatcherAdmission:
-    def test_bounded_queue_sheds_synchronously(self):
-        batcher = MicroBatcher(
-            BatchPolicy(max_batch=4, max_wait_ms=0.0), max_pending=2
-        )
-        batcher.put("a")
-        batcher.put("b")
-        start = time.monotonic()
-        with pytest.raises(QueueFullError):
-            batcher.put("c")
-        # Fast reject: overload is reported synchronously, never by
-        # blocking the producer.
-        assert time.monotonic() - start < 0.1
-
-    def test_force_put_bypasses_the_bound(self):
-        batcher = MicroBatcher(
-            BatchPolicy(max_batch=4, max_wait_ms=0.0), max_pending=1
-        )
-        batcher.put("a")
-        batcher.put("wake", force=True)  # shutdown sentinels always land
-        assert batcher.next_batch(timeout=0.5) == ["a", "wake"]
-
-    def test_dequeue_frees_admission_slots(self):
-        batcher = MicroBatcher(
-            BatchPolicy(max_batch=1, max_wait_ms=0.0), max_pending=1
-        )
-        batcher.put("a")
-        assert batcher.next_batch(timeout=0.5) == ["a"]
-        batcher.put("b")  # slot was released by the dequeue
-
-    def test_max_pending_validation(self):
-        with pytest.raises(ConfigurationError, match="max_pending"):
-            MicroBatcher(max_pending=0)
 
 
 class TestResolveManySharedDeadline:
