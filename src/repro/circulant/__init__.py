@@ -22,8 +22,8 @@
 - :mod:`repro.circulant.spectral_cache` — :class:`SpectralWeightCache`,
   the serving-path amortisation of the weight FFT: precomputed,
   frequency-major weight spectra invalidated by
-  :class:`~repro.nn.module.Parameter` version, shared across layers by
-  ``Sequential.compile_inference()``.
+  :class:`~repro.nn.module.Parameter` version, shared across a module
+  tree by the ``compile_inference()`` walk.
 """
 
 from repro.circulant.circulant import CirculantMatrix

@@ -174,7 +174,10 @@ def spectral_contract(wf: np.ndarray, xf: np.ndarray) -> np.ndarray:
     :class:`~repro.circulant.spectral_cache.SpectralWeightCache` its memory
     is already frequency-major, so the transposes below are zero-copy
     views; only the activation spectrum (fresh from the batch FFT) is
-    rearranged per call.
+    rearranged per call. A freshly transformed ``wf`` is copied into the
+    same frequency-major layout first: ``matmul`` picks its kernel (and
+    so its rounding) by operand strides, and the layout is what keeps a
+    compiled forward bit-identical to the uncompiled one.
     """
     if wf.ndim == 3:
         if xf.ndim != 3 or xf.shape[1:] != wf.shape[1:]:
@@ -183,7 +186,8 @@ def spectral_contract(wf: np.ndarray, xf: np.ndarray) -> np.ndarray:
                 f"{wf.shape[2]}), got {xf.shape}"
             )
         # (f, p, q) @ (f, q, batch) -> (f, p, batch).
-        af = np.matmul(wf.transpose(2, 0, 1), xf.transpose(2, 1, 0))
+        lhs = np.ascontiguousarray(wf.transpose(2, 0, 1))
+        af = np.matmul(lhs, xf.transpose(2, 1, 0))
         return af.transpose(2, 1, 0)
     if wf.ndim == 4:
         s, p, q, f = wf.shape

@@ -11,7 +11,7 @@ where the serving-path speedup lives — the same observation Li et al.
 (plus the FFT backend used to transform it) to the half-spectrum array
 ``rfft(w)`` consumed by the ``cached_spectrum=`` fast path of
 :mod:`repro.circulant.ops`. The same version check serves *training*
-(``attach_spectral_cache`` on the block-circulant layers — see
+(``Module.attach_spectral_cache``, the same module-tree walk — see
 ``docs/spectral_training.md``): unchanged weights reuse their spectrum
 across multi-forward gradient accumulation and eval-within-train
 passes, and every optimiser assignment invalidates as usual.

@@ -11,26 +11,25 @@ This package reimplements that kernel in software:
   exploiting the symmetry the paper uses to skip half of the butterfly
   outputs (Fig 10, "red circles need not be calculated").
 - :mod:`repro.fftcore.plan` — the recursive decomposition of Fig 9: a
-  size-n FFT executed as two size-n/2 FFTs plus one butterfly stage.
-  :func:`get_plan` memoises one :class:`FFTPlan` per transform size;
-  ``FFTPlan.warm()`` materialises its bit-reversal permutation, stage
-  twiddles and real-transform tables into shared read-only caches.
+  size-n FFT executed as two size-n/2 FFTs plus one butterfly stage
+  (:class:`FFTPlan`).
 - :mod:`repro.fftcore.ops_count` — exact butterfly / real-operation /
   memory-traffic counts consumed by the architecture simulator.
 - :mod:`repro.fftcore.backend` — pluggable backends (:func:`get_backend`,
   :func:`set_default_backend`, :func:`register_backend`): the numerically
   identical ``numpy.fft`` implementation for speed, the from-scratch
   radix-2 kernels, or any custom :class:`FFTBackend` registered by name.
-  Each backend keeps a per-size plan cache (:meth:`FFTBackend.plan`) so
-  the radix-2 path never rebuilds twiddle tables — the warm-up contract
-  the spectral inference engine relies on. :func:`clear_plan_caches`
-  resets every plan/twiddle/real-FFT table cache in the process.
+
+The radix-2 and real-FFT kernels keep their per-size constants
+(bit-reversal permutations, stage twiddles, real-FFT unpack tables) in
+read-only ROM-style caches filled by the first transform of each size —
+the package's only FFT memo. :func:`clear_plan_caches` empties them.
 """
 
 from repro.fftcore.reference import dft_direct, idft_direct
 from repro.fftcore.radix2 import fft_radix2, ifft_radix2, stage_twiddles
 from repro.fftcore.real import irfft_real, rfft_real
-from repro.fftcore.plan import FFTPlan, get_plan
+from repro.fftcore.plan import FFTPlan
 from repro.fftcore.ops_count import (
     FFTOpCount,
     complex_fft_butterflies,
@@ -67,7 +66,6 @@ __all__ = [
     "available_backends",
     "clear_plan_caches",
     "get_backend",
-    "get_plan",
     "register_backend",
     "set_default_backend",
     "stage_twiddles",

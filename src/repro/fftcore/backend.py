@@ -10,12 +10,11 @@ The block-circulant kernels in :mod:`repro.circulant.ops` take a backend
 argument, so every experiment can be re-run on the from-scratch kernel to
 certify the two agree.
 
-Each backend instance keeps a per-``(backend, n)`` plan cache
-(:meth:`FFTBackend.plan`): the first transform of a given size builds the
-:class:`~repro.fftcore.plan.FFTPlan` plus its bit-reversal and twiddle
-tables, and every later call of that size reuses them. This is what stops
-the radix-2 backend from re-deriving twiddle factors on every call — the
-serving-path requirement behind the spectral inference engine.
+Backends hold no per-size state. The radix-2 kernels read their
+bit-reversal, twiddle and real-FFT tables from read-only ROM-style caches
+(:mod:`repro.fftcore.radix2`, :mod:`repro.fftcore.real`) that the first
+transform of a size fills, so no later call of that size re-derives a
+twiddle factor; :func:`clear_plan_caches` empties them.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import BackendError
-from repro.fftcore.plan import FFTPlan, clear_plan_cache, get_plan
 from repro.fftcore.radix2 import clear_twiddle_caches, fft_radix2, ifft_radix2
 from repro.fftcore.real import clear_real_fft_caches, irfft_real, rfft_real
 
@@ -32,9 +30,6 @@ class FFTBackend:
     """Interface: forward/inverse complex and real transforms, last axis."""
 
     name = "abstract"
-
-    def __init__(self) -> None:
-        self._plans: dict[int, FFTPlan] = {}
 
     def fft(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -47,38 +42,6 @@ class FFTBackend:
 
     def irfft(self, x: np.ndarray, n: int) -> np.ndarray:
         raise NotImplementedError
-
-    def plan(self, n: int) -> FFTPlan:
-        """The cached :class:`FFTPlan` this backend uses for size ``n``.
-
-        First use of a size warms the plan (:meth:`FFTPlan.warm`): the
-        bit-reversal permutation, stage twiddles and real-transform
-        tables are all materialised in the shared ROM caches, so a
-        server can warm every transform size it will see before taking
-        traffic. The per-backend dict also records which sizes this
-        backend has planned (see :meth:`plan_cache_size`).
-        """
-        plan = self._plans.get(n)
-        if plan is None:
-            plan = get_plan(n).warm()
-            self._plans[n] = plan
-        return plan
-
-    def plan_cache_size(self) -> int:
-        """Number of distinct transform sizes planned on this backend."""
-        return len(self._plans)
-
-    def clear_plans(self) -> None:
-        """Drop this backend's per-size plan cache.
-
-        The public counterpart of the dictionary :meth:`plan` fills:
-        long-running servers bound memory after a burst of unusual
-        transform sizes by clearing per backend, and
-        :func:`clear_plan_caches` calls this on every registered backend
-        (custom :func:`register_backend` implementations may override it
-        to drop additional private state).
-        """
-        self._plans.clear()
 
     def __repr__(self) -> str:
         return f"<FFTBackend {self.name}>"
@@ -105,30 +68,23 @@ class NumpyFFTBackend(FFTBackend):
 class Radix2FFTBackend(FFTBackend):
     """The from-scratch kernels of :mod:`repro.fftcore` (hardware model).
 
-    Every call first touches the per-size plan cache, so the bit-reversal
-    permutation and stage twiddles are built exactly once per transform
-    size for the lifetime of the process.
+    The kernels build each size's bit-reversal permutation and twiddle
+    tables once, on the first transform of that size, and serve them
+    from the ROM caches for the lifetime of the process.
     """
 
     name = "radix2"
 
     def fft(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        self.plan(x.shape[-1])
         return fft_radix2(x)
 
     def ifft(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        self.plan(x.shape[-1])
         return ifft_radix2(x)
 
     def rfft(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        self.plan(x.shape[-1])
         return rfft_real(x)
 
     def irfft(self, x: np.ndarray, n: int) -> np.ndarray:
-        self.plan(n)
         return irfft_real(x, n=n)
 
 
@@ -149,7 +105,6 @@ class CountingFFTBackend(FFTBackend):
     """
 
     def __init__(self, inner: "str | FFTBackend | None" = None):
-        super().__init__()
         self.inner = get_backend(inner)
         self.name = f"counting({self.inner.name})"
         self.counts = {"fft": 0, "ifft": 0, "rfft": 0, "irfft": 0}
@@ -297,16 +252,12 @@ def set_default_backend(name: "str | FFTBackend") -> None:
 
 
 def clear_plan_caches() -> None:
-    """Reset every FFT plan/twiddle cache in the process.
+    """Empty the FFT constant caches — the one clear path.
 
-    Drops the per-backend plan dictionaries (via each backend's public
-    :meth:`FFTBackend.clear_plans`), the shared plan registry, and the
-    bit-reversal / twiddle / real-FFT table caches. Intended for tests
-    and long-running servers that want to bound memory after a burst of
-    unusual transform sizes.
+    Drops the bit-reversal, stage-twiddle and real-FFT table caches, the
+    only FFT memo in the process; the next transform of each size
+    rebuilds its tables. Intended for tests and long-running servers
+    that want to bound memory after a burst of unusual transform sizes.
     """
-    for backend in _BACKENDS.values():
-        backend.clear_plans()
-    clear_plan_cache()
     clear_twiddle_caches()
     clear_real_fft_caches()

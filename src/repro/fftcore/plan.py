@@ -14,11 +14,10 @@ stage. :class:`FFTPlan` makes that property executable and inspectable:
   multiplexing scheme of §4.1 ("multiple small-scale FFT blocks can be
   multiplexed and calculate a large-scale FFT").
 
-Plans are cheap but not free, so :func:`get_plan` memoises one plan per
-transform size, and :meth:`FFTPlan.twiddle_table` / :meth:`FFTPlan.bit_reversal`
-expose the per-size constant tables from the shared ROM-style caches in
-:mod:`repro.fftcore.radix2` — the backend layer keys its own plan cache on
-``(backend, n)`` on top of this (see :mod:`repro.fftcore.backend`).
+A plan holds only ``n``; :meth:`FFTPlan.twiddle_table` /
+:meth:`FFTPlan.bit_reversal` expose the per-size constant tables from the
+read-only ROM-style caches in :mod:`repro.fftcore.radix2` — the one FFT
+memo in the package (see :func:`repro.fftcore.clear_plan_caches`).
 """
 
 from __future__ import annotations
@@ -32,24 +31,7 @@ from repro.fftcore.radix2 import (
     fft_radix2,
     stage_twiddles,
 )
-from repro.fftcore.real import warm_real_tables
 from repro.utils.validation import ensure_power_of_two
-
-_PLAN_CACHE: dict[int, "FFTPlan"] = {}
-
-
-def get_plan(n: int) -> "FFTPlan":
-    """Return the memoised :class:`FFTPlan` for transform size ``n``."""
-    plan = _PLAN_CACHE.get(n)
-    if plan is None:
-        plan = FFTPlan(n)
-        _PLAN_CACHE[n] = plan
-    return plan
-
-
-def clear_plan_cache() -> None:
-    """Drop all memoised plans (tests/memory)."""
-    _PLAN_CACHE.clear()
 
 
 @dataclass(frozen=True)
@@ -116,21 +98,6 @@ class FFTPlan:
         """Total butterfly operations: ``(n/2) * log2(n)``."""
         return (self.n // 2) * self.num_levels
 
-    def warm(self) -> "FFTPlan":
-        """Eagerly materialise every constant table this size can read.
-
-        Touches the bit-reversal permutation and stage twiddles for
-        complex FFTs of size ``n``, plus the real-transform tables (and
-        their half-size complex tables), so a server can warm each
-        transform size before taking traffic and the first request does
-        no table construction. Returns self.
-        """
-        if self.n > 1:
-            bit_reverse_indices(self.n)
-            stage_twiddles(self.n)
-            warm_real_tables(self.n)
-        return self
-
     def bit_reversal(self) -> np.ndarray:
         """The (cached, read-only) input permutation of this transform."""
         return bit_reverse_indices(self.n)
@@ -147,7 +114,7 @@ class FFTPlan:
     def execute_recursive(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the FFT literally as the Fig 9 recursion.
 
-        Two half-size plans transform the even and odd samples, then one
+        Two half-size transforms of the even and odd samples, then one
         butterfly level combines them. Numerically identical to
         :func:`repro.fftcore.radix2.fft_radix2` (tests assert this), which
         is the paper's argument that a single small FFT block suffices.
@@ -155,15 +122,7 @@ class FFTPlan:
         x = np.asarray(x)
         if x.shape[-1] != self.n:
             raise ValueError(f"plan is for size {self.n}, got {x.shape[-1]}")
-        if self.n == 1:
-            return x.astype(np.complex128, copy=True)
-        half_plan = get_plan(self.n // 2)
-        even = half_plan.execute_recursive(x[..., 0::2])
-        odd = half_plan.execute_recursive(x[..., 1::2])
-        # The combine twiddles W_n^k are exactly the last-stage ROM entries.
-        twiddle = stage_twiddles(self.n)[-1]
-        t = twiddle * odd
-        return np.concatenate([even + t, even - t], axis=-1)
+        return _fft_recursive(x)
 
     def execute(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the FFT with the iterative kernel (production path)."""
@@ -190,3 +149,15 @@ class FFTPlan:
             extra_levels=extra_levels,
             extra_butterflies=extra_levels * (self.n // 2),
         )
+
+
+def _fft_recursive(x: np.ndarray) -> np.ndarray:
+    """The Fig 9 recursion over the last axis (a power-of-two size)."""
+    n = x.shape[-1]
+    if n == 1:
+        return x.astype(np.complex128, copy=True)
+    even = _fft_recursive(x[..., 0::2])
+    odd = _fft_recursive(x[..., 1::2])
+    # The combine twiddles W_n^k are exactly the last-stage ROM entries.
+    t = stage_twiddles(n)[-1] * odd
+    return np.concatenate([even + t, even - t], axis=-1)

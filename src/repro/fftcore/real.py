@@ -60,26 +60,6 @@ def clear_real_fft_caches() -> None:
     _IRFFT_TABLE_CACHE.clear()
 
 
-def warm_real_tables(n: int) -> None:
-    """Materialise every table a size-``n`` rfft/irfft pair will read.
-
-    Covers the unpack/repack tables of this module plus the half-size
-    complex-FFT tables used by the even/odd packing trick, so a warmed
-    transform size does no table construction on the first real call.
-    """
-    ensure_power_of_two(n, "transform size")
-    if n == 1:
-        return
-    from repro.fftcore.radix2 import bit_reverse_indices, stage_twiddles
-
-    half = n // 2
-    if half > 1:
-        bit_reverse_indices(half)
-        stage_twiddles(half)
-    _rfft_tables(n)
-    _irfft_twiddle(n)
-
-
 def rfft_real(x: np.ndarray) -> np.ndarray:
     """Real-input FFT along the last axis; returns ``n//2 + 1`` complex bins.
 

@@ -25,7 +25,6 @@ from repro.circulant.ops import (
     block_circulant_conv_forward,
     block_dims,
 )
-from repro.circulant.spectral_cache import SpectralWeightCache
 from repro.errors import ConfigurationError, ShapeError
 from repro.fftcore.backend import get_backend
 from repro.nn.im2col import col2im, conv_output_size, im2col
@@ -41,8 +40,12 @@ class BlockCirculantConv2D(Module):
     Drop-in replacement for :class:`repro.nn.Conv2D` with an extra
     ``block_size`` knob: ``block_size = 1`` stores the full ``r²·C·P``
     parameters (no compression), larger blocks divide the cross-channel
-    parameter count by ``k``.
+    parameter count by ``k``. A spectral leaf, like
+    :class:`~repro.nn.BlockCirculantDense`: the ``(r², p, q)`` weight
+    spectrum is served from the cache the module-tree walk binds.
     """
+
+    spectral = True
 
     def __init__(self, in_channels: int, out_channels: int, field: int,
                  block_size: int, stride: int = 1, padding: int = 0,
@@ -83,7 +86,6 @@ class BlockCirculantConv2D(Module):
         self._tape: SpectralTape | None = None
         self._geometry: tuple[int, int, int] | None = None
         self._input_shape: tuple[int, int, int, int] | None = None
-        self.spectral_cache: SpectralWeightCache | None = None
         #: Set False on the *first* trainable layer of a network to skip
         #: the patch-gradient product and col2im in backward — the
         #: largest GEMM and inverse FFT of the conv backward pass, whose
@@ -133,58 +135,6 @@ class BlockCirculantConv2D(Module):
         )
 
     # -- compute --------------------------------------------------------------
-    def compile_inference(self, cache: SpectralWeightCache | None = None):
-        """Freeze for serving: eval mode + warmed ``(r², p, q)`` spectrum.
-
-        Same contract as :meth:`BlockCirculantDense.compile_inference` —
-        the cache invalidates itself on weight updates, so compiling never
-        risks stale outputs, and the parameter arrays are frozen so element
-        writes that would bypass the version counter raise immediately.
-        Returns self.
-        """
-        self.eval()
-        self.spectral_cache = cache if cache is not None else SpectralWeightCache()
-        self.spectral_cache.spectrum(self.weight, self.backend)
-        self.weight.freeze()
-        if self.bias is not None:
-            self.bias.freeze()
-        return self
-
-    def attach_spectral_cache(
-        self, cache: SpectralWeightCache | None = None
-    ) -> "BlockCirculantConv2D":
-        """Attach a weight-spectrum cache without freezing or eval mode.
-
-        Training-mode counterpart of :meth:`compile_inference` — same
-        contract as :meth:`BlockCirculantDense.attach_spectral_cache`:
-        the ``(r², p, q)`` spectrum is version-checked per lookup, so
-        unchanged weights skip the ``r²·p·q`` weight FFTs while optimiser
-        steps invalidate as usual. As there, training mode does not
-        freeze the array, so in-place element writes must be followed by
-        ``mark_updated()`` (pure ``.value`` assignments need nothing).
-        Returns self.
-        """
-        self.spectral_cache = cache if cache is not None else SpectralWeightCache()
-        return self
-
-    def _weight_spectrum(self, be=None) -> np.ndarray | None:
-        """Cached ``rfft(weight)`` when a spectral cache is attached.
-
-        In training mode the lookup is version-checked per step; the
-        serving-path freeze is only maintained in eval mode.
-        """
-        if self.spectral_cache is None:
-            return None
-        spectrum = self.spectral_cache.spectrum(
-            self.weight, be if be is not None else self.backend
-        )
-        if not self.training and not self.weight.frozen:
-            # A legitimate update thawed the array; the cache just
-            # refreshed from it, so re-freeze to keep the
-            # element-writes-raise guarantee for as long as we serve.
-            self.weight.freeze()
-        return spectrum
-
     def _partition_patches(self, patches: np.ndarray) -> np.ndarray:
         """(BN, r², C) -> zero-padded channel blocks (BN, r², qc, k)."""
         flat, r2, channels = patches.shape
@@ -224,12 +174,12 @@ class BlockCirculantConv2D(Module):
             self._geometry = (batch, out_h, out_w)
             y_blocks, self._tape = block_circulant_conv_forward(
                 self.weight.value, patch_blocks, be,
-                cached_spectrum=self._weight_spectrum(be), record=True,
+                cached_spectrum=self._weight_spectrum(), record=True,
             )
         else:
             y_blocks = block_circulant_conv_forward(
                 self.weight.value, patch_blocks, be,
-                cached_spectrum=self._weight_spectrum(be),
+                cached_spectrum=self._weight_spectrum(),
             )
         out = y_blocks.reshape(batch * positions, self.pp * k)
         out = out[:, : self.out_channels]

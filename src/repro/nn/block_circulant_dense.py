@@ -24,7 +24,6 @@ from repro.circulant.ops import (
     partition_vector,
     unpartition_vector,
 )
-from repro.circulant.spectral_cache import SpectralWeightCache
 from repro.errors import ConfigurationError, ShapeError
 from repro.fftcore.backend import get_backend
 from repro.nn.initializers import zeros
@@ -34,7 +33,14 @@ from repro.utils.validation import ensure_positive
 
 
 class BlockCirculantDense(Module):
-    """FC layer whose weight matrix is block-circulant with block size k."""
+    """FC layer whose weight matrix is block-circulant with block size k.
+
+    A spectral leaf: ``compile_inference()`` / ``attach_spectral_cache()``
+    (on :class:`~repro.nn.module.Module`) bind a shared weight-spectrum
+    cache that the forward reads instead of transforming the weight.
+    """
+
+    spectral = True
 
     def __init__(self, in_features: int, out_features: int, block_size: int,
                  bias: bool = True, seed=None, backend=None,
@@ -70,7 +76,6 @@ class BlockCirculantDense(Module):
             self.add_parameter("bias", zeros((out_features,))) if bias else None
         )
         self._tape: SpectralTape | None = None
-        self.spectral_cache: SpectralWeightCache | None = None
         #: Set False on the *first* trainable layer of a network to skip
         #: the ∂L/∂x product in backward (nobody consumes it there);
         #: ``backward`` then returns None instead of the input gradient.
@@ -101,65 +106,6 @@ class BlockCirculantDense(Module):
         )
 
     # -- compute --------------------------------------------------------------
-    def compile_inference(self, cache: SpectralWeightCache | None = None):
-        """Freeze this layer for serving: eval mode + warmed weight spectrum.
-
-        Attaches (or shares) a :class:`SpectralWeightCache` and computes the
-        spectrum eagerly, so the first inference after compilation pays no
-        weight-FFT cost. The cache stays correct if the weights change —
-        the parameter version bump triggers a lazy recompute — so compiling
-        is always safe, never a staleness hazard. The parameter arrays are
-        additionally frozen (read-only), so an element write that would
-        bypass the version counter (``weight.value[0] = x``) raises
-        immediately instead of serving a stale spectrum; assigning
-        ``.value`` or calling ``mark_updated()`` thaws them. Returns self.
-        """
-        self.eval()
-        self.spectral_cache = cache if cache is not None else SpectralWeightCache()
-        self.spectral_cache.spectrum(self.weight, self.backend)
-        self.weight.freeze()
-        if self.bias is not None:
-            self.bias.freeze()
-        return self
-
-    def attach_spectral_cache(
-        self, cache: SpectralWeightCache | None = None
-    ) -> "BlockCirculantDense":
-        """Attach a weight-spectrum cache without freezing or eval mode.
-
-        The training-mode entry point to the spectral engine: unlike
-        :meth:`compile_inference` this neither switches modes nor freezes
-        the parameters, so the optimiser keeps working. The cached weight
-        spectrum is version-checked on every lookup — unchanged weights
-        (gradient accumulation over several forwards, eval-within-train
-        validation passes) reuse it, and each optimiser step's ``.value``
-        assignment invalidates it. Because the array is *not* frozen in
-        training mode, in-place element writes (``weight.value[0] = x``)
-        bypass the version counter and would serve a stale spectrum —
-        spell updates as pure ``.value`` assignments or call
-        ``mark_updated()`` after mutating in place. Returns self.
-        """
-        self.spectral_cache = cache if cache is not None else SpectralWeightCache()
-        return self
-
-    def _weight_spectrum(self) -> np.ndarray | None:
-        """Cached ``rfft(weight)`` when a spectral cache is attached.
-
-        In training mode the lookup is version-checked per step (stale
-        after every optimiser assignment, reused across multi-forward
-        accumulation and eval-within-train); the serving-path freeze is
-        only maintained in eval mode.
-        """
-        if self.spectral_cache is None:
-            return None
-        spectrum = self.spectral_cache.spectrum(self.weight, self.backend)
-        if not self.training and not self.weight.frozen:
-            # A legitimate update (optimiser step, requantise) thawed the
-            # array; the cache just refreshed from it, so re-freeze to keep
-            # the element-writes-raise guarantee for as long as we serve.
-            self.weight.freeze()
-        return spectrum
-
     def _run_forward(self, x: np.ndarray, record: bool) -> np.ndarray:
         """Shared forward pipeline; ``record`` caches state for backward.
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.circulant.spectral_cache import SpectralWeightCache
+
 
 class Parameter:
     """A trainable tensor together with its accumulated gradient.
@@ -224,6 +226,93 @@ class Module:
     def eval(self) -> "Module":
         """Set inference mode; returns self."""
         return self.train(False)
+
+    # -- spectral engine -------------------------------------------------------
+    #: True for leaf layers whose forward consumes a cached weight spectrum
+    #: through :meth:`_weight_spectrum` — the block-circulant FC and CONV
+    #: layers, and so every recurrent gate projection. The one "spectral
+    #: layer" predicate: the walk below, ``Sequential.spectral_layers``
+    #: and the execution plan's backend knob all read it.
+    spectral: bool = False
+
+    #: The :class:`SpectralWeightCache` bound by :meth:`attach_spectral_cache`
+    #: or :meth:`compile_inference` (``None`` until then).
+    spectral_cache: SpectralWeightCache | None = None
+
+    def _modules(self):
+        """This module, then every descendant depth-first."""
+        yield self
+        for _, layer in self.named_sublayers():
+            yield layer
+
+    def _bind_spectral_cache(self, cache: SpectralWeightCache | None) -> None:
+        """Point this module and every descendant at ``cache`` (``None``
+        detaches — what a deep-copied view does with the cache it cloned)."""
+        for layer in self._modules():
+            layer.spectral_cache = cache
+
+    def attach_spectral_cache(
+        self, cache: SpectralWeightCache | None = None
+    ) -> "Module":
+        """Share one weight-spectrum cache across the whole module tree,
+        *without* freezing or eval mode.
+
+        The training-mode entry point to the spectral engine
+        (``docs/spectral_training.md``): every spectral leaf — nested
+        containers and recurrent gate projections included — reads the
+        one ``cache`` (a fresh one when ``None``). Mode and parameter
+        writeability are left alone, so optimisers keep working; each
+        weight spectrum is version-checked per lookup — reused across
+        multi-forward gradient accumulation and eval-within-train
+        validation passes, recomputed after every optimiser assignment.
+        The array is *not* frozen in training mode, so in-place element
+        writes (``weight.value[0] = x``) must be followed by
+        ``mark_updated()``. Returns self.
+        """
+        self._bind_spectral_cache(
+            cache if cache is not None else SpectralWeightCache()
+        )
+        return self
+
+    def compile_inference(
+        self, cache: SpectralWeightCache | None = None
+    ) -> "Module":
+        """Freeze for serving: eval mode + every weight spectrum warmed.
+
+        The same walk as :meth:`attach_spectral_cache`, plus: the tree
+        switches to eval mode, each spectral leaf's spectrum is computed
+        into the shared cache (so the first inference pays no weight
+        FFT), and its weight and bias arrays are frozen read-only — an
+        element write that would bypass the version counter raises
+        instead of serving a stale spectrum; assigning ``.value`` or
+        calling ``mark_updated()`` thaws them. Safe to call more than
+        once and safe to keep training afterwards: weight updates
+        invalidate entries by parameter version. Returns self.
+        """
+        self.eval()
+        self.attach_spectral_cache(cache)
+        for layer in self._modules():
+            if layer.spectral:
+                self.spectral_cache.spectrum(layer.weight, layer.backend)
+                for param in layer.parameters():
+                    param.freeze()
+        return self
+
+    def _weight_spectrum(self) -> np.ndarray | None:
+        """A spectral leaf's cached ``rfft(weight)``, or ``None`` when no
+        cache is bound.
+
+        In training mode the lookup is version-checked per step; in eval
+        mode a weight a legitimate update thawed (optimiser step,
+        requantise) is re-frozen once the cache has refreshed from it, so
+        element writes keep raising for as long as the layer serves.
+        """
+        if self.spectral_cache is None:
+            return None
+        spectrum = self.spectral_cache.spectrum(self.weight, self.backend)
+        if not self.training and not self.weight.frozen:
+            self.weight.freeze()
+        return spectrum
 
     # -- compute -------------------------------------------------------------
     #: True for elementwise layers (activations, dropout) whose output

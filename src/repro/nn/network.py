@@ -184,41 +184,22 @@ class Sequential(Module):
     def spectral_layers(self, prefix: str = "layers"):
         """``(path, layer)`` for every layer that consumes a weight spectrum.
 
-        A spectral layer is one whose forward runs through the
-        ``cached_spectrum=`` fast path — it owns a ``weight`` parameter
-        *and* exposes a ``spectral_cache`` slot (the block-circulant FC
-        and CONV layers, and each gate projection of the recurrent
-        layers). Containers are traversed, not yielded. This is the
-        capture surface for
+        A spectral layer (:attr:`~repro.nn.module.Module.spectral`) is a
+        leaf whose forward runs through the ``cached_spectrum=`` fast
+        path — the block-circulant FC and CONV layers, and each gate
+        projection of the recurrent layers. Containers are traversed, not
+        yielded. This is the capture surface for
         :func:`repro.nn.serialization.capture_compiled_state`.
         """
         for path, layer in self.named_layers(prefix):
-            if self._is_container(layer):
-                continue
-            if hasattr(layer, "spectral_cache") and hasattr(layer, "weight"):
+            if layer.spectral:
                 yield path, layer
 
     def compile_inference(
         self, cache: SpectralWeightCache | None = None, *,
         plan=None,
     ) -> "Sequential":
-        """Freeze the network for serving: the spectral inference engine.
-
-        Switches every layer to eval mode and shares one
-        :class:`SpectralWeightCache` across all block-circulant layers —
-        FC (:class:`~repro.nn.BlockCirculantDense`) and CONV
-        (:class:`~repro.nn.BlockCirculantConv2D`) alike, plus any nested
-        ``Sequential`` and any other layer exposing ``compile_inference``
-        — precomputing each weight spectrum so eval-mode forwards skip
-        the weight FFT entirely. Safe to call more than once and safe to
-        keep training afterwards: weight updates invalidate entries by
-        parameter version, so training-mode forwards reuse a spectrum
-        only while the weights are genuinely unchanged (see
-        :meth:`attach_spectral_cache` for the training-first entry
-        point). Quantised serving composes the same way:
-        ``quantized_view(net, bits, bits).compile_inference()`` warms
-        spectra from the fake-quantised weights (see
-        ``docs/spectral_engine.md``). Returns self.
+        """:meth:`Module.compile_inference` after an optional plan.
 
         ``plan`` — a :class:`repro.plan.ExecutionPlan` — is applied
         first, **destructively** (per-layer backends set, weights rounded
@@ -226,45 +207,13 @@ class Sequential(Module):
         :func:`repro.quant.quantize_network_weights`): spectra must warm
         from the planned weights on the planned backends. To keep the
         original float network, build a
-        :func:`repro.plan.planned_view` instead.
+        :func:`repro.plan.planned_view` instead. Returns self.
         """
         if plan is not None:
             from repro.plan import apply_plan_inplace
 
             apply_plan_inplace(self, plan)
-        self._spectral_cache = cache if cache is not None else SpectralWeightCache()
-        self.eval()
-        for layer in self.layers:
-            compile_layer = getattr(layer, "compile_inference", None)
-            if compile_layer is not None:
-                compile_layer(self._spectral_cache)
-        return self
-
-    def attach_spectral_cache(
-        self, cache: SpectralWeightCache | None = None
-    ) -> "Sequential":
-        """Share one weight-spectrum cache across layers *without* freezing.
-
-        The training-mode entry point to the spectral engine
-        (``docs/spectral_training.md``): unlike :meth:`compile_inference`
-        it leaves every layer's mode and parameter writeability alone, so
-        optimisers keep working. Each block-circulant layer's weight
-        spectrum is then version-checked per lookup — reused across
-        multi-forward gradient accumulation and eval-within-train
-        validation passes, recomputed after every optimiser assignment.
-        Returns self.
-        """
-        self._spectral_cache = cache if cache is not None else SpectralWeightCache()
-        for layer in self.layers:
-            attach = getattr(layer, "attach_spectral_cache", None)
-            if attach is not None:
-                attach(self._spectral_cache)
-        return self
-
-    @property
-    def spectral_cache(self) -> SpectralWeightCache | None:
-        """The shared weight-spectrum cache, once compiled (else None)."""
-        return getattr(self, "_spectral_cache", None)
+        return super().compile_inference(cache)
 
     @property
     def is_compiled(self) -> bool:

@@ -56,7 +56,6 @@ from repro.circulant.ops import (
     unpartition_vector,
     weight_spectrum,
 )
-from repro.circulant.spectral_cache import SpectralWeightCache
 from repro.errors import ConfigurationError, ShapeError
 from repro.fftcore.backend import get_backend
 from repro.nn.block_circulant_dense import BlockCirculantDense
@@ -135,26 +134,6 @@ class _BlockCirculantRecurrent(StatefulModule):
         return (None, self.in_features)
 
     # -- spectral-engine plumbing ---------------------------------------------
-    def compile_inference(self, cache: SpectralWeightCache | None = None):
-        """Freeze for serving: eval mode + every gate spectrum warmed in
-        one shared cache (see ``BlockCirculantDense.compile_inference``).
-        Returns self."""
-        cache = cache if cache is not None else SpectralWeightCache()
-        self.eval()
-        for _, gate in self.named_children():
-            gate.compile_inference(cache)
-        return self
-
-    def attach_spectral_cache(
-        self, cache: SpectralWeightCache | None = None
-    ):
-        """Share a weight-spectrum cache across the gates without
-        freezing — the training-mode entry point. Returns self."""
-        cache = cache if cache is not None else SpectralWeightCache()
-        for _, gate in self.named_children():
-            gate.attach_spectral_cache(cache)
-        return self
-
     def _gate_spectra(self) -> dict[str, np.ndarray]:
         """One weight half-spectrum per gate, resolved **once per
         sequence** — served from each gate's attached

@@ -47,7 +47,7 @@ class LayerPlan:
 
     ``None`` everywhere means "as built" — applying an all-``None`` plan
     is a no-op. ``backend`` is a registered FFT-backend *name* (only
-    valid on spectral layers, i.e. those with a ``spectral_cache`` slot);
+    valid on spectral layers, see :attr:`repro.nn.module.Module.spectral`);
     ``bits`` is the per-tensor fixed-point word length the layer's
     parameters are rounded to; ``block_size`` is the contraction hint —
     it must match the layer's built block size when applied to an
@@ -135,14 +135,16 @@ class ExecutionPlan:
         network_bits = getattr(network, "weight_quant_bits", None)
         entries = []
         for _path, layer in network.planned_layers():
-            spectral = hasattr(layer, "spectral_cache")
             entries.append(LayerPlan(
                 backend=(
-                    get_backend(layer.backend).name if spectral else None
+                    get_backend(layer.backend).name if layer.spectral
+                    else None
                 ),
                 bits=getattr(layer, "weight_quant_bits", network_bits),
                 block_size=getattr(layer, "block_size", None),
             ))
+        from repro.quant.network import _first_activation_bits
+
         return cls(
             layers=tuple(entries),
             activation_bits=_first_activation_bits(network),
@@ -212,15 +214,6 @@ class ExecutionPlan:
         return "\n".join(lines)
 
 
-def _first_activation_bits(network) -> int | None:
-    from repro.quant.network import ActivationQuantizer
-
-    for layer in getattr(network, "layers", ()):
-        if isinstance(layer, ActivationQuantizer):
-            return layer.total_bits
-    return None
-
-
 def _iter_activation_quantizers(network):
     from repro.quant.network import ActivationQuantizer
 
@@ -257,7 +250,6 @@ def apply_plan_inplace(network, plan: ExecutionPlan):
             "and must match exactly"
         )
     for (path, layer), entry in zip(planned, plan.layers):
-        spectral = hasattr(layer, "spectral_cache")
         if entry.block_size is not None:
             built = getattr(layer, "block_size", None)
             if built != entry.block_size:
@@ -268,7 +260,7 @@ def apply_plan_inplace(network, plan: ExecutionPlan):
                     "repro.plan.tuner.sweep_table for fresh-build sweeps)"
                 )
         if entry.backend is not None:
-            if not spectral:
+            if not layer.spectral:
                 raise PlanError(
                     f"plan sets backend={entry.backend!r} at {path} but "
                     f"{type(layer).__name__} is not a spectral layer"
@@ -313,13 +305,12 @@ def planned_view(network, plan: ExecutionPlan, *, compile: bool = True,
     — the registry's zero-FFT ``apply_plan`` path seeds one before
     compiling). Returns the configured view.
     """
-    from repro.quant.network import (
-        ActivationQuantizer,
-        _detach_spectral_state,
-    )
+    from repro.quant.network import ActivationQuantizer, _first_activation_bits
 
     clone = copy.deepcopy(network)
-    _detach_spectral_state(clone)
+    # The deep copy cloned any attached cache, keyed by the original
+    # parameters' ids — dead weight at best, an id-reuse hazard at worst.
+    clone._bind_spectral_cache(None)
     if plan.activation_bits is not None and _first_activation_bits(clone) is None:
         pipeline = type(clone)()
         pipeline.add(ActivationQuantizer(plan.activation_bits))

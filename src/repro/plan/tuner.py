@@ -127,13 +127,12 @@ def _layer_work(path: str, layer, input_shape) -> LayerWork | None:
     anything else contributes nothing to the prior (it is identical
     across candidate plans).
     """
-    spectral = hasattr(layer, "spectral_cache")
     if hasattr(layer, "in_features") and hasattr(layer, "out_features"):
-        k = layer.block_size if spectral else 1
+        k = layer.block_size if layer.spectral else 1
         return block_circulant_fc_work(
             DenseSpec(path, layer.in_features, layer.out_features), k
         )
-    if spectral and hasattr(layer, "in_channels") and hasattr(layer, "field"):
+    if layer.spectral and hasattr(layer, "in_channels") and hasattr(layer, "field"):
         if input_shape is None or len(input_shape) != 4:
             return None
         return block_circulant_conv_work(
@@ -201,7 +200,7 @@ def measure_forward(network, sample_input, *,
                     repeats: int = 3) -> tuple[float, np.ndarray]:
     """``(seconds, output)`` of the compiled forward, min over repeats."""
     x = np.asarray(sample_input, dtype=np.float64)
-    output = network.inference_forward(x)  # warm spectra / plan caches
+    output = network.inference_forward(x)  # warm spectra / FFT tables
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -326,7 +325,7 @@ def tune(network, sample_input, *,
     works = []
     spectral_mask = []
     for path, layer in planned:
-        spectral = hasattr(layer, "spectral_cache")
+        spectral = layer.spectral
         spectral_mask.append(spectral)
         works.append((
             get_backend(layer.backend).name if spectral else None,
@@ -506,8 +505,7 @@ def sweep_table(build, sample_input, *, block_sizes, backends=None,
         shapes = _trace_planned_shapes(network, sample_input)
         works = [
             (
-                get_backend(layer.backend).name
-                if hasattr(layer, "spectral_cache") else None,
+                get_backend(layer.backend).name if layer.spectral else None,
                 _layer_work(path, layer, shapes.get(path)),
             )
             for path, layer in planned
@@ -520,10 +518,7 @@ def sweep_table(build, sample_input, *, block_sizes, backends=None,
                 plan = ExecutionPlan(
                     layers=tuple(
                         LayerPlan(
-                            backend=(
-                                backend if hasattr(layer, "spectral_cache")
-                                else None
-                            ),
+                            backend=backend if layer.spectral else None,
                             bits=b,
                             block_size=getattr(layer, "block_size", None),
                         )

@@ -87,56 +87,27 @@ class ActivationQuantizer(Module):
         return f"ActivationQuantizer(bits={self.total_bits})"
 
 
-def _detach_spectral_state(module: Module) -> None:
-    """Drop spectral-cache state deep-copied from a compiled original.
-
-    ``copy.deepcopy`` clones any attached
-    :class:`~repro.circulant.spectral_cache.SpectralWeightCache` along
-    with the layers, but the clone's entries are keyed by the *original*
-    parameters' ids — dead weight at best, an id-reuse hazard at worst.
-    A quantised view starts uncompiled; callers opt into serving with
-    ``view.compile_inference()``.
-    """
-    if hasattr(module, "_spectral_cache"):
-        del module._spectral_cache
-    if getattr(module, "spectral_cache", None) is not None:
-        module.spectral_cache = None
-    # Recurse through the generic child protocol — nested Sequentials
-    # *and* non-container children (the recurrent layers' gate
-    # projections each carry their own spectral_cache slot).
-    for _, child in module.named_children():
-        _detach_spectral_state(child)
-
-
 def quantized_view(network: Sequential, weight_bits: int,
                    activation_bits: int | None = None) -> Sequential:
-    """A quantised deep copy of a trained network.
+    """A quantised, uncompiled deep copy of a trained network.
 
-    Weights are rounded to ``weight_bits``; when ``activation_bits`` is
-    given, an :class:`ActivationQuantizer` follows every original layer so
-    the inter-layer data stream carries the datapath precision too.
-    The original network is left untouched (including any spectral cache
-    it was compiled with — the view carries none).
-
-    For fixed-point serving, chain ``.compile_inference()``: the view
-    freezes in eval mode and every block-circulant layer's spectrum is
-    computed once from the quantised defining vectors (see the module
-    docstring).
-
-    This is the uniform special case of :func:`repro.plan.planned_view` —
-    every layer gets the same word length, no backend changes. Per-layer
-    word lengths and backend selection go through an
-    :class:`~repro.plan.ExecutionPlan` directly.
+    An alias of :func:`repro.plan.planned_view` with
+    ``ExecutionPlan.uniform(..., bits=weight_bits,
+    activation_bits=activation_bits)`` and ``compile=False``: weights are
+    rounded to ``weight_bits``; when ``activation_bits`` is given, an
+    :class:`ActivationQuantizer` follows every original layer so the
+    inter-layer data stream carries the datapath precision too. The
+    original network is left untouched (including any spectral cache it
+    was compiled with — the view carries none). For fixed-point serving,
+    chain ``.compile_inference()`` (see the module docstring).
     """
     # Lazy import: repro.plan imports this module's quantiser machinery.
     from repro.plan import ExecutionPlan, planned_view
 
-    plan = ExecutionPlan.uniform(
+    return planned_view(network, ExecutionPlan.uniform(
         sum(1 for _ in network.planned_layers()),
-        bits=weight_bits,
-        activation_bits=activation_bits,
-    )
-    return planned_view(network, plan, compile=False)
+        bits=weight_bits, activation_bits=activation_bits,
+    ), compile=False)
 
 
 def quantization_format(network) -> dict | None:
@@ -151,14 +122,18 @@ def quantization_format(network) -> dict | None:
     precision it is serving.
     """
     weight_bits = getattr(network, "weight_quant_bits", None)
-    activation_bits = None
-    for layer in getattr(network, "layers", ()):
-        if isinstance(layer, ActivationQuantizer):
-            activation_bits = layer.total_bits
-            break
+    activation_bits = _first_activation_bits(network)
     if weight_bits is None and activation_bits is None:
         return None
     return {"weight_bits": weight_bits, "activation_bits": activation_bits}
+
+
+def _first_activation_bits(network) -> int | None:
+    """Word length of the first top-level :class:`ActivationQuantizer`."""
+    for layer in getattr(network, "layers", ()):
+        if isinstance(layer, ActivationQuantizer):
+            return layer.total_bits
+    return None
 
 
 def network_accuracy(network: Sequential, x: np.ndarray,
@@ -206,11 +181,16 @@ def accuracy_vs_bits(network: Sequential, x: np.ndarray, y: np.ndarray,
     (``"nan"`` or ``"raise"``) is forwarded to :func:`network_accuracy`
     for zero-length evaluation sets.
     """
+    from repro.plan import ExecutionPlan, planned_view
+
+    num_layers = sum(1 for _ in network.planned_layers())
     results: dict[int, float] = {}
     for bits in bit_widths:
-        view = quantized_view(
-            network, bits, bits if quantize_activations else None
+        plan = ExecutionPlan.uniform(
+            num_layers, bits=bits,
+            activation_bits=bits if quantize_activations else None,
         )
+        view = planned_view(network, plan, compile=False)
         results[bits] = network_accuracy(view, x, y, on_empty=on_empty)
     return results
 
@@ -228,13 +208,12 @@ def requantize_endpoint(registry, endpoint: str, source: Sequential,
     cached spectra, held only weakly) becomes collectable as soon as the
     last in-flight batch drops it. Returns the new compiled view.
 
-    ``registry`` is a :class:`repro.serving.ModelRegistry` (duck-typed:
-    anything with a ``swap(name, network)`` method works). When the
-    registry exposes ``apply_plan`` (the generalised re-plan action,
-    :meth:`repro.serving.ModelRegistry.apply_plan`), the requantisation
-    is routed through it — same atomic-swap semantics, plus the uniform
-    plan is recorded on the endpoint and spectra of layers the new word
-    length leaves bit-identical are seeded instead of recomputed.
+    ``registry`` is a :class:`repro.serving.ModelRegistry`; the
+    requantisation is its generalised re-plan action
+    (:meth:`~repro.serving.ModelRegistry.apply_plan`) with a uniform
+    plan, so the plan is recorded on the endpoint and spectra of layers
+    the new word length leaves bit-identical are seeded instead of
+    recomputed.
     """
     from repro.plan import ExecutionPlan
 
@@ -243,10 +222,4 @@ def requantize_endpoint(registry, endpoint: str, source: Sequential,
         bits=weight_bits,
         activation_bits=activation_bits,
     )
-    if hasattr(registry, "apply_plan"):
-        return registry.apply_plan(endpoint, plan, source=source)
-    from repro.plan import planned_view
-
-    view = planned_view(source, plan)
-    registry.swap(endpoint, view)
-    return view
+    return registry.apply_plan(endpoint, plan, source=source)

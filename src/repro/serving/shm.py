@@ -270,10 +270,7 @@ def attach_image(descriptor: dict, backend=None) -> AttachedEndpoint:
             param, buffer, record["layout"],
             backend=backend if backend is not None else record["backend"],
         )
-    for _, layer in network.spectral_layers():
-        layer.spectral_cache = cache
-    network._spectral_cache = cache
-    network.eval()
+    network.attach_spectral_cache(cache).eval()
     quantization = descriptor.get("quantization")
     if quantization and quantization.get("weight_bits") is not None:
         network.weight_quant_bits = quantization["weight_bits"]

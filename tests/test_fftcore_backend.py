@@ -7,9 +7,7 @@ import pytest
 
 from repro.errors import BackendError
 from repro.fftcore import (
-    CountingFFTBackend,
     available_backends,
-    clear_plan_caches,
     get_backend,
     register_backend,
     set_default_backend,
@@ -133,37 +131,6 @@ class TestRegisterBackend:
             )
         finally:
             unregister_backend("custom-test")
-
-
-class TestClearPlans:
-    def test_clear_plans_is_public_per_backend(self):
-        backend = get_backend("radix2")
-        backend.rfft(np.ones((2, 16)))
-        assert backend.plan_cache_size() > 0
-        backend.clear_plans()
-        assert backend.plan_cache_size() == 0
-
-    def test_clear_plan_caches_uses_clear_plans(self):
-        class Recording(NumpyFFTBackend):
-            name = "recording-test"
-            cleared = False
-
-            def clear_plans(self) -> None:
-                self.cleared = True
-                super().clear_plans()
-
-        backend = register_backend(Recording())
-        try:
-            clear_plan_caches()
-            assert backend.cleared
-        finally:
-            unregister_backend("recording-test")
-
-    def test_counting_backend_clear_plans(self):
-        backend = CountingFFTBackend("radix2")
-        backend.rfft(np.ones((2, 8)))
-        backend.clear_plans()
-        assert backend.plan_cache_size() == 0
 
 
 class TestBackendAgreement:

@@ -16,7 +16,7 @@ from repro.circulant import (
     weight_spectrum,
 )
 from repro.errors import BackendError, ShapeError
-from repro.fftcore import clear_plan_caches, get_backend, get_plan
+from repro.fftcore import FFTPlan, clear_plan_caches, get_backend
 from repro.fftcore.radix2 import bit_reverse_indices, stage_twiddles
 from repro.nn import (
     BlockCirculantConv2D,
@@ -477,29 +477,6 @@ class TestBackendValidationAtConstruction:
 
 
 class TestPlanAndTwiddleCaches:
-    def test_get_plan_memoised(self):
-        assert get_plan(64) is get_plan(64)
-
-    def test_backend_plan_cache(self):
-        backend = get_backend("radix2")
-        before = backend.plan_cache_size()
-        plan = backend.plan(4096)
-        assert backend.plan(4096) is plan
-        assert backend.plan_cache_size() >= before
-
-    def test_backend_plan_warms_all_tables(self):
-        # The serving warm-up contract: plan(n) must materialise every
-        # constant table a size-n fft/rfft/irfft will read, including the
-        # half-size complex tables of the real-FFT packing trick.
-        from repro.fftcore.radix2 import _BIT_REVERSE_CACHE, _STAGE_TWIDDLE_CACHE
-        from repro.fftcore.real import _IRFFT_TABLE_CACHE, _RFFT_TABLE_CACHE
-
-        clear_plan_caches()
-        get_backend("radix2").plan(64)
-        assert 64 in _BIT_REVERSE_CACHE and 64 in _STAGE_TWIDDLE_CACHE
-        assert 32 in _BIT_REVERSE_CACHE and 32 in _STAGE_TWIDDLE_CACHE
-        assert 64 in _RFFT_TABLE_CACHE and 64 in _IRFFT_TABLE_CACHE
-
     def test_stage_twiddles_cached_and_correct(self):
         tables = stage_twiddles(16)
         assert stage_twiddles(16) is tables
@@ -522,15 +499,28 @@ class TestPlanAndTwiddleCaches:
         np.testing.assert_allclose(cold, warm, atol=0)
         np.testing.assert_allclose(cold, np.fft.rfft(x), atol=1e-10)
 
-    def test_clear_plan_caches(self):
-        backend = get_backend("radix2")
-        backend.plan(128)
+    def test_clear_plan_caches(self, rng):
+        # The ROM tables are the only FFT memo: clearing empties all four,
+        # and the next radix-2 rfft/irfft refills them with identical
+        # results.
+        from repro.fftcore.radix2 import _BIT_REVERSE_CACHE, _STAGE_TWIDDLE_CACHE
+        from repro.fftcore.real import _IRFFT_TABLE_CACHE, _RFFT_TABLE_CACHE
+
+        tables = (_BIT_REVERSE_CACHE, _STAGE_TWIDDLE_CACHE,
+                  _RFFT_TABLE_CACHE, _IRFFT_TABLE_CACHE)
+        be = get_backend("radix2")
+        x = rng.normal(size=(3, 128))
+        spectrum = be.rfft(x)
+        restored = be.irfft(spectrum, n=128)
+        assert all(len(table) > 0 for table in tables)
         clear_plan_caches()
-        assert backend.plan_cache_size() == 0
-        # Caches repopulate transparently afterwards.
-        assert backend.plan(128).n == 128
+        assert all(len(table) == 0 for table in tables)
+        np.testing.assert_array_equal(be.rfft(x), spectrum)
+        np.testing.assert_array_equal(be.irfft(spectrum, n=128), restored)
+        assert 128 in _RFFT_TABLE_CACHE and 128 in _IRFFT_TABLE_CACHE
+        assert 64 in _BIT_REVERSE_CACHE and 64 in _STAGE_TWIDDLE_CACHE
 
     def test_plan_twiddle_table_matches_rom(self):
-        plan = get_plan(32)
+        plan = FFTPlan(32)
         assert plan.twiddle_table() is stage_twiddles(32)
         assert plan.bit_reversal() is bit_reverse_indices(32)
