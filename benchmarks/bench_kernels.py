@@ -21,7 +21,6 @@ skipped while every speedup assertion still runs.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -42,7 +41,7 @@ from repro.fftcore import (
 )
 from repro.nn.module import Parameter
 
-BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+from conftest import BENCH_SMOKE
 
 
 def _block_inputs(n: int, k: int, batch: int = 8, seed: int = 0):

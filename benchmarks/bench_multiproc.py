@@ -32,7 +32,7 @@ from repro.errors import QueueFullError
 from repro.nn import BlockCirculantDense, ReLU, Sequential
 from repro.serving import InferenceServer, MPInferenceServer
 
-BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+from conftest import BENCH_SMOKE
 
 # GIL-bound serving workload: with the from-scratch radix2 backend every
 # activation FFT is Python bytecode, so a thread pool serialises on the

@@ -24,8 +24,6 @@ every assertion still runs):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.nn import (
@@ -39,10 +37,8 @@ from repro.nn import (
 )
 from repro.plan import tune
 
-from conftest import report
+from conftest import BENCH_SMOKE, report
 from repro.experiments.tables import BandCheck, ExperimentTable
-
-BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
 _BATCH = 8 if BENCH_SMOKE else 32
 _REPEATS = 3 if BENCH_SMOKE else 5

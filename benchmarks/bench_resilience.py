@@ -45,7 +45,7 @@ from repro.serving import (
     MPInferenceServer,
 )
 
-BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+from conftest import BENCH_SMOKE
 
 #: Input images (C, H, W): large enough that one forward dominates the
 #: parent's per-task dispatch cost, so both phases are model-bound and

@@ -33,10 +33,8 @@ import numpy as np
 from repro.fftcore import CountingFFTBackend, get_backend
 from repro.nn import BlockCirculantLSTM, Sequential
 
-from conftest import report
+from conftest import BENCH_SMOKE, report
 from repro.experiments.tables import BandCheck, ExperimentTable
-
-BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
 _FEATURES = 512
 _BLOCK = 32

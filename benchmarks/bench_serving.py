@@ -18,7 +18,6 @@ shorter load run; every assertion still runs).
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from repro.nn import BlockCirculantDense, ReLU, Sequential
 from repro.serving import InferenceServer
 
-BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+from conftest import BENCH_SMOKE
 
 # Serving-shaped workload: small enough per request that Python/FFT call
 # overhead dominates a single-sample forward — exactly the regime where

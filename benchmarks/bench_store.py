@@ -22,7 +22,6 @@ runs.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -36,7 +35,7 @@ from repro.nn import (
 )
 from repro.store import load_artifact, save_artifact
 
-BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+from conftest import BENCH_SMOKE
 
 # Serving-sized FC stack. Rebuild cost scales with parameter count (the
 # random init + npz copies + weight FFTs); the store path's cost is a

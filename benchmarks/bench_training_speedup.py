@@ -21,7 +21,6 @@ assertion still runs at full size).
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -41,9 +40,7 @@ from repro.nn.block_circulant_conv import BlockCirculantConv2D
 from repro.nn.block_circulant_dense import BlockCirculantDense
 from repro.nn.im2col import col2im, im2col
 
-from conftest import report
-
-BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+from conftest import BENCH_SMOKE, report
 
 
 def test_training_speedup(benchmark):

@@ -9,7 +9,13 @@ paper-vs-measured table, and asserts the acceptance bands. Run with::
 
 from __future__ import annotations
 
+import os
+
 from repro.experiments.tables import ExperimentTable
+
+#: ``BENCH_SMOKE=1`` (any value but empty or ``0``) selects the
+#: reduced-size CI smoke variant of every suite that has one.
+BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
 
 def report(table: ExperimentTable) -> ExperimentTable:

@@ -70,9 +70,10 @@ def spectrum_layout(spectrum: np.ndarray) -> tuple[str, np.ndarray]:
     ``(f, p, q)``-contiguous memory and CONV spectra as ``(r², p, q, f)``
     views over ``(f, p, r², q)``-contiguous memory, so these transposes
     reproduce the contiguous buffer without copying. The buffer is what
-    serialising consumers (the artifact store's chunk files, the
-    multi-process server's shared-memory images) persist byte-for-byte;
-    :func:`natural_view` inverts it on the way back in.
+    a compiled-network image (:func:`repro.store.artifact.capture_image`)
+    persists byte-for-byte, in the store's chunk files and the process
+    server's shared-memory segments alike; :func:`natural_view` inverts
+    it on the way back in.
     """
     if spectrum.ndim == 3:
         return "fc", spectrum.transpose(2, 0, 1)
@@ -216,25 +217,6 @@ class SpectralWeightCache:
                 self._owners[pid] = weakref.ref(param, self._make_purge(pid))
         return spectrum
 
-    def seed_buffer(
-        self, param, buffer: np.ndarray, layout: str, backend=None,
-    ) -> np.ndarray:
-        """Seed from a serialised **frequency-major buffer** (zero FFTs).
-
-        The buffer-side twin of :meth:`seed`, for consumers that persist
-        the cache's contiguous frequency-major memory rather than the
-        natural logical view — the artifact store's chunk files and the
-        multi-process server's shared-memory images both do. ``layout``
-        is the tag :func:`spectrum_layout` produced (``"fc"``/``"conv"``);
-        the natural view is restored by the inverse transpose, so the
-        seeded entry aliases ``buffer`` directly — a memory map or a
-        shared-memory segment stays zero-copy all the way into the
-        per-frequency GEMM.
-        """
-        return self.seed(
-            param, natural_view(np.asarray(buffer), layout), backend
-        )
-
     def __deepcopy__(self, memo) -> "SpectralWeightCache":
         # Locks and weakrefs do not survive deepcopy, and cloned entries
         # would be keyed by the *original* parameters' ids — dead weight a
@@ -277,13 +259,6 @@ class SpectralWeightCache:
         with self._lock:
             self._entries.clear()
             self._owners.clear()
-
-    def invalidate(self, param=None) -> None:
-        """Drop cached spectra for ``param``, or every entry when ``None``."""
-        if param is None:
-            self.clear()
-        else:
-            self.release(param)
 
     def stats(self) -> dict[str, int]:
         """Hit/miss/entry counters (for tests and serving dashboards)."""

@@ -127,11 +127,15 @@ class ServerClosedError(ServingError, ConfigurationError):
     """
 
 
-class StoreError(ReproError, ValueError):
+class StoreError(ConfigurationError):
     """A model-artifact store operation failed (see :mod:`repro.store`).
 
     Covers malformed or truncated manifests, unknown codecs, unsupported
-    layer types, and artifacts written by an incompatible format version.
+    layer types, artifacts written by an incompatible format version, and
+    compiled-network images that cannot be captured (an uncompiled
+    network) or rebuilt (a header that disagrees with its spec tree).
+    Images are rebuilt from shared-memory descriptors too, so this is a
+    :class:`ConfigurationError`, as :class:`PlanError` is.
     """
 
 

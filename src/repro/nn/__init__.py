@@ -31,7 +31,6 @@ from repro.nn.training import TrainingHistory, Trainer
 from repro.nn.schedules import EarlyStopping, StepDecay
 from repro.nn.gradcheck import GradCheckReport, check_module
 from repro.nn.serialization import (
-    capture_compiled_state,
     load_parameters,
     parameters_nbytes,
     save_parameters,
@@ -69,5 +68,4 @@ __all__ = [
     "save_parameters",
     "load_parameters",
     "parameters_nbytes",
-    "capture_compiled_state",
 ]

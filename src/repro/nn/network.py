@@ -189,7 +189,7 @@ class Sequential(Module):
         path — the block-circulant FC and CONV layers, and each gate
         projection of the recurrent layers. Containers are traversed, not
         yielded. This is the capture surface for
-        :func:`repro.nn.serialization.capture_compiled_state`.
+        :func:`repro.store.artifact.capture_image`.
         """
         for path, layer in self.named_layers(prefix):
             if layer.spectral:

@@ -77,49 +77,3 @@ def parameters_nbytes(network: Module, bits_per_param: int = 64) -> int:
     """Serialized weight size at a given word length (bits)."""
     total_params = sum(p.size for p in network.parameters())
     return total_params * bits_per_param // 8
-
-
-def capture_compiled_state(network) -> dict:
-    """Snapshot everything the artifact store persists about a network.
-
-    For a network compiled with ``compile_inference()`` this returns,
-    without recomputing any FFT (warm caches answer every lookup):
-
-    - ``"signature"`` — :meth:`~repro.nn.network.Sequential.serving_signature`;
-    - ``"parameters"`` — ``{name: Parameter}`` from
-      :meth:`~repro.nn.network.Sequential.named_parameters`;
-    - ``"spectra"`` — one record per spectral layer
-      (:meth:`~repro.nn.network.Sequential.spectral_layers`):
-      ``{"param": <parameter name>, "backend": <resolved backend name>,
-      "spectrum": <frequency-major half-spectrum array>}``.
-
-    Raises :class:`~repro.errors.ConfigurationError` when the network has
-    no spectral cache attached — the store only persists *compiled*
-    state, since its whole point is skipping ``compile_inference()`` on
-    load.
-    """
-    from repro.errors import ConfigurationError
-    from repro.fftcore.backend import get_backend
-
-    cache = getattr(network, "spectral_cache", None)
-    if cache is None:
-        raise ConfigurationError(
-            "capture_compiled_state needs a compiled network; call "
-            "compile_inference() first so the weight spectra exist"
-        )
-    spectra = []
-    for path, layer in network.spectral_layers():
-        layer_cache = layer.spectral_cache
-        if layer_cache is None:
-            continue
-        backend = get_backend(layer.backend)
-        spectra.append({
-            "param": f"{path}.weight",
-            "backend": backend.name,
-            "spectrum": layer_cache.spectrum(layer.weight, backend),
-        })
-    return {
-        "signature": network.serving_signature(),
-        "parameters": dict(network.named_parameters()),
-        "spectra": spectra,
-    }

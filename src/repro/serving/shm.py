@@ -10,15 +10,14 @@ array plus every precomputed frequency-major weight spectrum, exactly the
 bytes the artifact store would persist — and each worker process maps the
 same physical pages instead of rebuilding or copying them.
 
-The worker-side reconstruction is the artifact store's zero-FFT load
-(:func:`repro.store.load_artifact`) pointed at shared memory instead of
-disk: layers are rebuilt from the same spec tree
-(:func:`repro.store.manifest.layer_from_spec`), parameters adopt
-read-only views straight into the segment
-(:meth:`~repro.nn.module.Parameter.adopt_frozen`), and every spectrum is
-seeded through
-:meth:`~repro.circulant.spectral_cache.SpectralWeightCache.seed_buffer`
-— zero FFTs, zero per-worker warm-up RAM beyond the page tables.
+The image is the artifact store's
+(:func:`repro.store.artifact.capture_image` /
+:func:`repro.store.artifact.rebuild_image`) with segment offsets in place
+of chunk files: the descriptor carries the same header as a manifest
+(spec tree, records, serving signature, quantisation, execution plan),
+and a worker rebuilds through the same zero-FFT path, parameters and
+spectra read-only views into the segment — so a network rebuilds the
+same whichever runtime serves it.
 
 An image is identified by ``(endpoint, generation)``; the generation is
 the :class:`~repro.serving.registry.ModelRegistry` counter, which is what
@@ -31,12 +30,6 @@ process boundary.
 from __future__ import annotations
 
 import numpy as np
-
-from repro.errors import ConfigurationError
-from repro.circulant.spectral_cache import (
-    SpectralWeightCache,
-    spectrum_layout,
-)
 
 #: Byte alignment of every array inside a segment. 64 covers the widest
 #: dtype here (complex128) and keeps rows cache-line aligned for the GEMM.
@@ -116,72 +109,40 @@ def publish_image(endpoint: str, network, generation: int,
                   context=None) -> SharedEndpointImage:
     """Serialise a compiled ``network`` into one shared-memory segment.
 
-    Captures the compiled state exactly as the artifact store would
-    (:func:`repro.nn.serialization.capture_compiled_state` — raises
-    :class:`~repro.errors.ConfigurationError` for uncompiled networks),
-    lays every parameter array and frequency-major spectrum buffer into
-    a fresh segment, and returns the owner handle whose ``descriptor``
-    workers pass to :func:`attach_image`.
+    Captures the image exactly as the artifact store would
+    (:func:`repro.store.artifact.capture_image` — raises
+    :class:`~repro.errors.StoreError`, a
+    :class:`~repro.errors.ConfigurationError`, for uncompiled networks),
+    lays every array at a 64-byte-aligned offset of a fresh segment, and
+    returns the owner handle whose ``descriptor`` — the image header plus
+    ``endpoint``, ``generation``, ``segment`` and ``nbytes`` — workers
+    pass to :func:`attach_image`.
     """
     from multiprocessing import shared_memory
 
-    from repro.nn.serialization import capture_compiled_state
-    from repro.quant import quantization_format
-    from repro.store.manifest import layer_to_spec
+    from repro.store.artifact import capture_image
 
-    state = capture_compiled_state(network)
-    spec = layer_to_spec(network)
-
-    arrays: list[tuple[dict, np.ndarray]] = []
-    parameters = []
+    header, arrays = capture_image(network)
+    records = header["parameters"] + header["spectra"]
     offset = 0
-    for name, param in state["parameters"].items():
-        value = np.ascontiguousarray(param.value)
+    for record, value in zip(records, arrays):
         offset = _aligned(offset)
-        record = {
-            "name": name,
-            "offset": offset,
-            "shape": value.shape,
-            "dtype": value.dtype.str,
-        }
-        parameters.append(record)
-        arrays.append((record, value))
+        record.update(offset=offset, shape=value.shape, dtype=value.dtype.str)
         offset += value.nbytes
-    spectra = []
-    for entry in state["spectra"]:
-        layout, buffer = spectrum_layout(entry["spectrum"])
-        buffer = np.ascontiguousarray(buffer)
-        offset = _aligned(offset)
-        record = {
-            "param": entry["param"],
-            "backend": entry["backend"],
-            "layout": layout,
-            "offset": offset,
-            "shape": buffer.shape,
-            "dtype": buffer.dtype.str,
-        }
-        spectra.append(record)
-        arrays.append((record, buffer))
-        offset += buffer.nbytes
-
     segment = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-    for record, value in arrays:
+    for record, value in zip(records, arrays):
         view = np.ndarray(
             value.shape, dtype=value.dtype,
             buffer=segment.buf, offset=record["offset"],
         )
         view[...] = value
         del view  # drop the buffer export before anyone can close()
-
     descriptor = {
+        **header,
         "endpoint": endpoint,
         "generation": generation,
         "segment": segment.name,
         "nbytes": offset,
-        "spec": spec,
-        "quantization": quantization_format(network),
-        "parameters": parameters,
-        "spectra": spectra,
     }
     return SharedEndpointImage(endpoint, generation, segment, descriptor)
 
@@ -222,58 +183,28 @@ class AttachedEndpoint:
 def attach_image(descriptor: dict, backend=None) -> AttachedEndpoint:
     """Reconstruct a frozen serving-ready network from an image descriptor.
 
-    The zero-FFT, zero-copy worker cold start: no parameter bytes are
-    read (views fault in lazily as the first forward touches them) and no
-    transform runs — each stored spectrum is seeded into a fresh
-    :class:`~repro.circulant.spectral_cache.SpectralWeightCache` via
-    :meth:`~repro.circulant.spectral_cache.SpectralWeightCache.seed_buffer`.
-    ``backend`` overrides the FFT backend of every block-circulant layer
-    and seeded spectrum — the instrumentation hook the zero-FFT tests use,
-    exactly as in :func:`repro.store.load_artifact`.
+    The zero-FFT, zero-copy worker cold start:
+    :func:`repro.store.artifact.rebuild_image` over the descriptor, each
+    record read as a view into the segment — no parameter bytes are read
+    (views fault in lazily as the first forward touches them) and no
+    transform runs. The descriptor is checked exactly as an artifact
+    manifest is (names, shapes, plan, signature), raising
+    :class:`~repro.errors.StoreError`. ``backend`` overrides the FFT
+    backend of every block-circulant layer and seeded spectrum — the
+    instrumentation hook the zero-FFT tests use, exactly as in
+    :func:`repro.store.load_artifact`.
     """
-    from repro.nn.network import Sequential
-    from repro.store.manifest import layer_from_spec
+    from repro.store.artifact import rebuild_image
 
     segment = _attach_segment(descriptor["segment"])
-    network = layer_from_spec(descriptor["spec"], backend)
-    if not isinstance(network, Sequential):
-        raise ConfigurationError(
-            "image descriptor does not describe a Sequential network"
-        )
-    current = dict(network.named_parameters())
-    stored = [record["name"] for record in descriptor["parameters"]]
-    missing = sorted(set(current) - set(stored))
-    extra = sorted(set(stored) - set(current))
-    if missing or extra:
-        raise ConfigurationError(
-            f"image parameters do not match the spec tree: missing "
-            f"{missing}, unexpected {extra}"
-        )
-    for record in descriptor["parameters"]:
-        view = np.ndarray(
+
+    def read(record: dict) -> np.ndarray:
+        return np.ndarray(
             tuple(record["shape"]), dtype=np.dtype(record["dtype"]),
             buffer=segment.buf, offset=record["offset"],
         )
-        current[record["name"]].adopt_frozen(view)
-    cache = SpectralWeightCache()
-    for record in descriptor["spectra"]:
-        param = current.get(record["param"])
-        if param is None:
-            raise ConfigurationError(
-                f"image spectrum names unknown parameter {record['param']!r}"
-            )
-        buffer = np.ndarray(
-            tuple(record["shape"]), dtype=np.dtype(record["dtype"]),
-            buffer=segment.buf, offset=record["offset"],
-        )
-        cache.seed_buffer(
-            param, buffer, record["layout"],
-            backend=backend if backend is not None else record["backend"],
-        )
-    network.attach_spectral_cache(cache).eval()
-    quantization = descriptor.get("quantization")
-    if quantization and quantization.get("weight_bits") is not None:
-        network.weight_quant_bits = quantization["weight_bits"]
+
+    network = rebuild_image(descriptor, read, backend)
     return AttachedEndpoint(
         descriptor["endpoint"], descriptor["generation"], network, segment
     )

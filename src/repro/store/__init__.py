@@ -12,10 +12,14 @@ content-hash-versioned artifact directory:
   per-chunk CRC-32 integrity and an ``np.memmap`` fast path;
 - :mod:`repro.store.manifest` — the JSON manifest: layer-spec tree,
   array records, serving signature, quantisation format, content hash;
-- :mod:`repro.store.artifact` — :func:`save_artifact` /
-  :func:`load_artifact` / :func:`verify_artifact`; loading rebuilds a
-  frozen, serving-ready network with **zero FFTs recomputed** (stored
-  spectra are seeded directly into the spectral cache);
+- :mod:`repro.store.artifact` — the compiled-network image
+  (:func:`~repro.store.artifact.capture_image` /
+  :func:`~repro.store.artifact.rebuild_image`, shared with the process
+  server's shared-memory images) and its on-disk callers
+  :func:`save_artifact` / :func:`load_artifact` / :func:`verify_artifact`;
+  loading rebuilds a frozen, serving-ready network with **zero FFTs
+  recomputed** (stored spectra are seeded directly into the spectral
+  cache);
 - :mod:`repro.store.registry` — :class:`ArtifactStore`, the
   ``root/<model>/<hash12>/`` versioned layout whose old versions double
   as rollback targets for

@@ -180,6 +180,23 @@ class TestImageValidation:
         finally:
             image.close_and_unlink()
 
+    def test_attach_rejects_wrong_shape_parameter(self):
+        # A record whose recorded shape disagrees with the rebuilt layer
+        # must fail at attach, not on the first served forward.
+        net = _fc_net().compile_inference()
+        image = publish_image("default", net, 0)
+        try:
+            descriptor = dict(image.descriptor)
+            records = [dict(record) for record in descriptor["parameters"]]
+            bias = next(r for r in records if r["name"] == "layers.0.bias")
+            assert tuple(bias["shape"]) == (32,)
+            bias["shape"] = (16,)
+            descriptor["parameters"] = records
+            with pytest.raises(ConfigurationError, match="shape"):
+                attach_image(descriptor)
+        finally:
+            image.close_and_unlink()
+
     def test_attach_after_unlink_raises_file_not_found(self):
         net = _fc_net().compile_inference()
         image = publish_image("default", net, 0)

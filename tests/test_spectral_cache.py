@@ -223,10 +223,14 @@ class TestSpectralWeightCache:
         a = Parameter(rng.normal(size=(2, 2, 8)))
         b = Parameter(rng.normal(size=(2, 2, 8)))
         cache.spectrum(a)
-        cache.spectrum(b)
-        cache.invalidate(a)
+        kept = cache.spectrum(b)
+        cache.release(a)
         assert len(cache) == 1
-        cache.invalidate()
+        # The other parameter's entry survives: served again as a hit.
+        hits = cache.hits
+        assert cache.spectrum(b) is kept
+        assert cache.hits == hits + 1
+        cache.clear()
         assert len(cache) == 0
 
     def test_conv_weight_spectrum_cached(self, rng):
