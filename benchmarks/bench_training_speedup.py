@@ -89,8 +89,14 @@ def _seed_conv_forward(layer, x):
     patches = cols.transpose(0, 1, 3, 4, 2).reshape(
         batch * positions, layer.field**2, layer.in_channels
     )
-    patch_blocks = layer._partition_patches(patches)
     k = layer.block_size
+    if layer.in_channels < layer.qc * k:
+        patches = np.pad(
+            patches, ((0, 0), (0, 0), (0, layer.qc * k - layer.in_channels))
+        )
+    patch_blocks = patches.reshape(
+        batch * positions, layer.field**2, layer.qc, k
+    )
     y_blocks = block_circulant_conv_forward(
         layer.weight.value, patch_blocks, be
     )

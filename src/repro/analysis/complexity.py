@@ -164,6 +164,11 @@ def block_circulant_conv_work(spec: ConvSpec, k: int,
     The im2col product runs per output position: ``r²·qc`` input-block
     FFTs, ``r²·pp·qc`` spectrum products accumulated into ``pp`` output
     blocks, and ``pp`` IFFTs. ``k = 1`` degenerates to dense MACs.
+
+    This is the paper's per-patch model (Fig 13/14, §5.3, ``repro.arch``).
+    :class:`~repro.nn.BlockCirculantConv2D` transforms each pixel block
+    once and gathers the patch spectrum, so it performs about ``1/r²`` of
+    the input FFTs counted here.
     """
     positions = spec.positions
     out_elems = positions * spec.out_channels

@@ -24,7 +24,12 @@ The same structure covers the CONV layer (paper Eq. 7): at each of the
 ``r²`` spatial offsets the cross-channel weight matrix is block-circulant,
 and :func:`block_circulant_conv_forward` folds the offset axis into the
 contracted dimension so FC and CONV share one spectral-contraction kernel,
-:func:`spectral_contract`.
+:func:`spectral_contract`. Because the circulant blocks run along the
+channel axis, every im2col patch block is one pixel's channel block (or
+zeros from padding), and ``rfft(im2col(x))`` equals the im2col gather of
+the per-pixel ``rfft``: the CONV layer transforms each pixel block of its
+feature map once and gathers the patch spectrum straight into the
+frequency-major GEMM operand, bit-identical to transforming every patch.
 
 All functions accept an FFT ``backend`` name so every experiment can be
 replayed on the from-scratch radix-2 kernel, and a ``cached_spectrum=``
@@ -39,8 +44,8 @@ already computed). A forward called with ``record=True`` returns a
 :class:`SpectralTape` carrying the weight and input/patch spectra, and the
 backward kernels accept them back (``cached_spectrum=`` /
 ``cached_input_spectrum=`` / ``cached_patch_spectrum=``), so one full
-train step performs exactly one FFT per distinct tensor: ``w``, ``x`` (or
-the im2col patches), and the output gradient.
+train step performs exactly one FFT per distinct tensor: ``w``, ``x`` (for
+the CONV layer, its pixel blocks), and the output gradient.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import ShapeError
 from repro.fftcore.backend import get_backend
@@ -113,7 +119,9 @@ class SpectralTape:
 
     - ``blocks`` — the time-domain input blocks (FC: ``(batch, q, k)``) or
       patch blocks (CONV: ``(batch·positions, r², q, k)``) the forward
-      consumed;
+      consumed; ``None`` on the CONV layer's tape, whose patch spectrum
+      is gathered from the per-pixel transform without time-domain
+      patches;
     - ``input_spectrum`` — ``rfft(blocks)``, reusable as
       ``cached_input_spectrum=`` / ``cached_patch_spectrum=``;
     - ``weight_spectrum`` — the ``rfft(w)`` the forward actually used
@@ -124,11 +132,11 @@ class SpectralTape:
       the forward that ran, not of whatever the weights are now.
 
     With a tape, a full train step costs exactly one FFT per distinct
-    tensor — ``w``, ``x``/patches, and the output gradient — instead of
-    recomputing the first two in backward.
+    tensor — ``w``, ``x`` (CONV: its pixel blocks), and the output
+    gradient — instead of recomputing the first two in backward.
     """
 
-    blocks: np.ndarray
+    blocks: np.ndarray | None
     input_spectrum: np.ndarray
     weight_spectrum: np.ndarray
 
@@ -198,8 +206,12 @@ def spectral_contract(wf: np.ndarray, xf: np.ndarray) -> np.ndarray:
             )
         batch = xf.shape[0]
         # Fold (offset, block-column) into one contracted axis of length
-        # s*q: (f, p, s*q) @ (f, s*q, batch) -> (f, p, batch).
-        lhs = wf.transpose(3, 1, 0, 2).reshape(f, p, s * q)
+        # s*q: (f, p, s*q) @ (f, s*q, batch) -> (f, p, batch). A cached
+        # spectrum is already contiguous here; a fresh one is copied,
+        # since with p = 1 the reshape alone would leave a strided view.
+        lhs = np.ascontiguousarray(wf.transpose(3, 1, 0, 2)).reshape(
+            f, p, s * q
+        )
         rhs = xf.transpose(3, 1, 2, 0).reshape(f, s * q, batch)
         return np.matmul(lhs, rhs).transpose(2, 1, 0)
     raise ShapeError(
@@ -350,18 +362,47 @@ def block_circulant_conv_forward(
     else:
         wf = cached_spectrum
         _check_spectrum_shape(wf, w.shape)
+    # Frequency-major memory behind the natural (batch, r², q, f) view,
+    # recording or not, as ``_patch_spectrum`` lays it out: ``matmul``
+    # picks its kernel (and rounding) by strides, so one layout keeps
+    # this kernel and the layer bit-identical, and a tape's backward
+    # reuse zero-copy.
     pf = be.rfft(patch_blocks)
-    if record:
-        # Frequency-major memory behind the natural (batch, r², q, f)
-        # view — one rearrangement instead of one per contraction (see
-        # the FC record path above).
-        pf = np.ascontiguousarray(
-            pf.transpose(3, 1, 2, 0)
-        ).transpose(3, 1, 2, 0)
+    pf = np.ascontiguousarray(pf.transpose(3, 1, 2, 0)).transpose(3, 1, 2, 0)
     out = be.irfft(spectral_contract(wf, pf), n=k)
     if record:
         return out, SpectralTape(patch_blocks, pf, wf)
     return out
+
+
+def _patch_spectrum(x: np.ndarray, field: int, stride: int, padding: int,
+                    q: int, k: int, backend=None) -> np.ndarray:
+    """``rfft`` of the im2col patch blocks of an NCHW batch, one rfft per pixel.
+
+    Each patch block is one pixel's ``k``-channel block or padding zeros,
+    and ``rfft(0) = 0``, so transforming the pixel blocks of the padded
+    input once, ``(batch, H+2·padding, W+2·padding, q, k)``, and gathering
+    the ``r²`` shifted windows gives ``rfft`` of the patch blocks bit for
+    bit, at about ``1/r²`` of the transformed elements.
+
+    Returns the ``(batch·positions, r², q, f)`` view over
+    ``(f, r², q, batch·positions)``-contiguous memory, the layout
+    :func:`block_circulant_conv_forward` uses, which
+    :func:`spectral_contract` folds into its GEMM operand without a copy.
+    """
+    be = get_backend(backend)
+    batch, channels, height, width = x.shape
+    padded_h, padded_w = height + 2 * padding, width + 2 * padding
+    pixels = np.zeros((batch, padded_h, padded_w, q * k), dtype=np.float64)
+    pixels[:, padding:padding + height, padding:padding + width,
+           :channels] = x.transpose(0, 2, 3, 1)
+    xf = be.rfft(pixels.reshape(batch, padded_h, padded_w, q, k))
+    # (batch, out_h, out_w, q, f, r, r) window view, then one strided
+    # copy into frequency-major (f, r, r, q, batch, out_h, out_w) memory.
+    windows = sliding_window_view(xf, (field, field), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    pf = np.ascontiguousarray(windows.transpose(4, 5, 6, 3, 0, 1, 2))
+    return pf.reshape(pf.shape[0], field * field, q, -1).transpose(3, 1, 2, 0)
 
 
 def block_circulant_backward(
@@ -489,7 +530,9 @@ def block_circulant_conv_backward(
     w:
         Defining vectors ``(r², p, q, k)``.
     patch_blocks:
-        Forward patch blocks ``(batch·positions, r², q, k)``.
+        Forward patch blocks ``(batch·positions, r², q, k)``, or ``None``
+        when ``cached_patch_spectrum`` is given (the layer's tape holds
+        only the spectrum).
     grad_blocks:
         ``∂L/∂y`` output channel blocks, shape ``(batch·positions, p, k)``.
     cached_spectrum:
@@ -513,24 +556,28 @@ def block_circulant_conv_backward(
     """
     be = get_backend(backend)
     w = np.asarray(w, dtype=np.float64)
-    patch_blocks = np.asarray(patch_blocks, dtype=np.float64)
     grad_blocks = np.asarray(grad_blocks, dtype=np.float64)
     if w.ndim != 4:
         raise ShapeError(f"weights must be (r², p, q, k), got shape {w.shape}")
     s, p, q, k = w.shape
-    if patch_blocks.ndim != 4 or patch_blocks.shape[1:] != (s, q, k):
-        raise ShapeError(
-            f"patch blocks must be (batch, {s}, {q}, {k}), "
-            f"got {patch_blocks.shape}"
-        )
     if grad_blocks.ndim != 3 or grad_blocks.shape[1:] != (p, k):
         raise ShapeError(
             f"grad blocks must be (batch, {p}, {k}), got {grad_blocks.shape}"
         )
-    if grad_blocks.shape[0] != patch_blocks.shape[0]:
+    if patch_blocks is None and cached_patch_spectrum is None:
+        raise ShapeError(
+            "patch_blocks may be None only with cached_patch_spectrum"
+        )
+    patch_shape = ((grad_blocks.shape[0], s, q, k) if patch_blocks is None
+                   else np.shape(patch_blocks))
+    if len(patch_shape) != 4 or patch_shape[1:] != (s, q, k):
+        raise ShapeError(
+            f"patch blocks must be (batch, {s}, {q}, {k}), got {patch_shape}"
+        )
+    if grad_blocks.shape[0] != patch_shape[0]:
         raise ShapeError(
             "grad batch "
-            f"{grad_blocks.shape[0]} != patch batch {patch_blocks.shape[0]}"
+            f"{grad_blocks.shape[0]} != patch batch {patch_shape[0]}"
         )
     if cached_spectrum is None:
         wf = be.rfft(w)
@@ -538,10 +585,10 @@ def block_circulant_conv_backward(
         wf = cached_spectrum
         _check_spectrum_shape(wf, w.shape)
     if cached_patch_spectrum is None:
-        pf = be.rfft(patch_blocks)
+        pf = be.rfft(np.asarray(patch_blocks, dtype=np.float64))
     else:
         pf = cached_patch_spectrum
-        _check_spectrum_shape(pf, patch_blocks.shape)
+        _check_spectrum_shape(pf, patch_shape)
     gf = be.rfft(grad_blocks)
     batch, f = gf.shape[0], gf.shape[-1]
     # Weight gradient "bif,bsjf->sijf" as (f, p, batch) @ (f, batch, r²·q),

@@ -13,6 +13,18 @@ offset in the FFT domain, i.e. the same
 "FFT → element-wise multiply → IFFT" pipeline the FC layer uses, which is
 what lets the CirCNN architecture run both layer types on one computing
 block.
+
+The circulant structure lies on the channel axis (as in CircConv), so an
+im2col patch block is one pixel's ``k``-channel block, or zeros from the
+padding. Since ``rfft`` acts per block and ``rfft(0) = 0``, the patch
+spectrum is the im2col gather of the per-pixel spectrum: the forward
+transforms each pixel block of the zero-padded feature map once and
+gathers the ``r²`` shifted windows straight into the frequency-major GEMM
+operand, never materialising real-domain patches. The result is
+bit-identical to ``rfft`` of the im2col patch blocks at about ``1/r²`` of
+the forward FFT work. (The op-count model,
+:func:`repro.analysis.complexity.block_circulant_conv_work`, keeps the
+paper's per-patch count.)
 """
 
 from __future__ import annotations
@@ -21,13 +33,15 @@ import numpy as np
 
 from repro.circulant.ops import (
     SpectralTape,
+    _patch_spectrum,
     block_circulant_conv_backward,
-    block_circulant_conv_forward,
     block_dims,
+    spectral_contract,
+    weight_spectrum,
 )
 from repro.errors import ConfigurationError, ShapeError
 from repro.fftcore.backend import get_backend
-from repro.nn.im2col import col2im, conv_output_size, im2col
+from repro.nn.im2col import col2im, conv_output_size
 from repro.nn.initializers import zeros
 from repro.nn.module import Module
 from repro.utils.rng import make_rng
@@ -135,18 +149,8 @@ class BlockCirculantConv2D(Module):
         )
 
     # -- compute --------------------------------------------------------------
-    def _partition_patches(self, patches: np.ndarray) -> np.ndarray:
-        """(BN, r², C) -> zero-padded channel blocks (BN, r², qc, k)."""
-        flat, r2, channels = patches.shape
-        k = self.block_size
-        if channels < self.qc * k:
-            padded = np.zeros((flat, r2, self.qc * k), dtype=np.float64)
-            padded[:, :, :channels] = patches
-            patches = padded
-        return patches.reshape(flat, r2, self.qc, k)
-
     def _run_forward(self, x: np.ndarray, record: bool) -> np.ndarray:
-        """Shared forward pipeline; ``record`` caches state for backward."""
+        """Shared forward pipeline; ``record`` keeps the tape for backward."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(
@@ -157,30 +161,20 @@ class BlockCirculantConv2D(Module):
         batch = x.shape[0]
         out_h, out_w = self.output_shape(x.shape[2], x.shape[3])
         positions = out_h * out_w
-        cols = im2col(x, self.field, self.stride, self.padding)
-        # (B, N, C, r, r) -> (B*N, r², C): group by spatial offset, then
-        # partition the channel axis into circulant blocks.
-        patches = cols.transpose(0, 1, 3, 4, 2).reshape(
-            batch * positions, self.field**2, self.in_channels
-        )
-        patch_blocks = self._partition_patches(patches)
         k = self.block_size
-        # Same contraction kernel as BlockCirculantDense: one complex BLAS
-        # GEMM per frequency bin, weight FFT skipped when a cached
-        # spectrum is being served. A recording forward keeps the
-        # SpectralTape so backward reuses the weight and patch spectra.
+        # Same per-frequency GEMM as BlockCirculantDense; the patch
+        # spectrum comes from one rfft per pixel block, never from im2col.
+        pf = _patch_spectrum(
+            x, self.field, self.stride, self.padding, self.qc, k, be
+        )
+        wf = self._weight_spectrum()
+        if wf is None:
+            wf = weight_spectrum(self.weight.value, be)
+        y_blocks = be.irfft(spectral_contract(wf, pf), n=k)
         if record:
             self._input_shape = x.shape
             self._geometry = (batch, out_h, out_w)
-            y_blocks, self._tape = block_circulant_conv_forward(
-                self.weight.value, patch_blocks, be,
-                cached_spectrum=self._weight_spectrum(), record=True,
-            )
-        else:
-            y_blocks = block_circulant_conv_forward(
-                self.weight.value, patch_blocks, be,
-                cached_spectrum=self._weight_spectrum(),
-            )
+            self._tape = SpectralTape(None, pf, wf)
         out = y_blocks.reshape(batch * positions, self.pp * k)
         out = out[:, : self.out_channels]
         if self.bias is not None:
@@ -228,14 +222,14 @@ class BlockCirculantConv2D(Module):
         # gradient contractions run as the same frequency-major
         # per-frequency GEMMs as the forward spectral_contract.
         grad_w, grad_pblocks = block_circulant_conv_backward(
-            self.weight.value, self._tape.blocks, grad_blocks, be,
+            self.weight.value, None, grad_blocks, be,
             cached_spectrum=self._tape.weight_spectrum,
             cached_patch_spectrum=self._tape.input_spectrum,
             compute_patch_grad=self.needs_input_grad,
         )
-        # The tape (patch blocks + batch-sized complex spectrum) is
-        # consumed; release it rather than pinning tens of MB across the
-        # optimiser step and beyond.
+        # The tape (the batch-sized complex patch spectrum) is consumed;
+        # release it rather than pinning tens of MB across the optimiser
+        # step and beyond.
         self._tape = None
         self.weight.grad += grad_w
         if grad_pblocks is None:

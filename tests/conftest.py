@@ -80,3 +80,44 @@ def server_factory(request):
             server.stop(drain_timeout_s=30.0)
         else:
             server.stop()
+
+
+def conv_patch_blocks(layer, x: np.ndarray) -> np.ndarray:
+    """im2col patches of ``x`` split into ``layer``'s zero-padded channel
+    blocks, shape ``(batch·positions, r², qc, k)``.
+
+    The reference route for :class:`repro.nn.BlockCirculantConv2D`: the
+    layer's one rfft per pixel block, gathered per spatial offset, must
+    equal ``rfft`` of these blocks bit for bit.
+    """
+    from repro.nn.im2col import im2col
+
+    cols = im2col(x, layer.field, layer.stride, layer.padding)
+    rows = cols.shape[0] * cols.shape[1]
+    r2, k = layer.field**2, layer.block_size
+    blocks = np.zeros((rows, r2, layer.qc * k))
+    blocks[:, :, : layer.in_channels] = cols.transpose(0, 1, 3, 4, 2).reshape(
+        rows, r2, layer.in_channels
+    )
+    return blocks.reshape(rows, r2, layer.qc, k)
+
+
+def conv_oracle_forward(layer, x: np.ndarray, record: bool = False):
+    """``(output, tape)`` of ``layer`` on ``x`` by the im2col route:
+    :func:`conv_patch_blocks` → ``block_circulant_conv_forward`` against
+    the layer's (cached) weight spectrum → NCHW plus bias. ``tape`` is
+    ``None`` unless ``record``."""
+    from repro.circulant.ops import block_circulant_conv_forward
+
+    out_h, out_w = layer.output_shape(x.shape[2], x.shape[3])
+    result = block_circulant_conv_forward(
+        layer.weight.value, conv_patch_blocks(layer, x), layer.backend,
+        cached_spectrum=layer._weight_spectrum(), record=record,
+    )
+    y_blocks, tape = result if record else (result, None)
+    batch, positions = x.shape[0], out_h * out_w
+    out = y_blocks.reshape(batch * positions, -1)[:, : layer.out_channels]
+    if layer.bias is not None:
+        out = out + layer.bias.value
+    out = out.reshape(batch, positions, layer.out_channels).transpose(0, 2, 1)
+    return out.reshape(batch, layer.out_channels, out_h, out_w), tape

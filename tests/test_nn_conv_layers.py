@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ShapeError
 from repro.nn import BlockCirculantConv2D, Conv2D
 from repro.nn.im2col import col2im, conv_output_size, im2col
-from tests.conftest import assert_layer_gradients
+from tests.conftest import assert_layer_gradients, conv_oracle_forward
 
 
 class TestIm2col:
@@ -144,3 +146,53 @@ class TestBlockCirculantConv2D:
         b = BlockCirculantConv2D(4, 4, 3, 4, padding=1, seed=7, backend="radix2")
         x = rng.normal(size=(1, 4, 5, 5))
         np.testing.assert_allclose(a.forward(x), b.forward(x), atol=1e-9)
+
+
+@st.composite
+def conv_cases(draw):
+    """``(layer, input)`` over random geometry: channel counts off the
+    block grid, r ∈ {1, 2, 3, 5}, stride 1–2, padding 0..r−1, non-square
+    maps, batch 1–4, both FFT backends."""
+    k = draw(st.sampled_from([1, 2, 4, 8]))
+    field = draw(st.sampled_from([1, 2, 3, 5]))
+    padding = draw(st.integers(0, field - 1))
+    smallest = max(1, field - 2 * padding)
+    layer = BlockCirculantConv2D(
+        draw(st.integers(1, 12)), draw(st.integers(1, 12)), field, k,
+        stride=draw(st.integers(1, 2)), padding=padding,
+        seed=draw(st.integers(0, 2**16)),
+        backend=draw(st.sampled_from(["numpy", "radix2"])),
+    )
+    layer.bias.value = np.random.default_rng(layer.out_channels).normal(
+        size=layer.out_channels
+    )
+    shape = (
+        draw(st.integers(1, 4)), layer.in_channels,
+        draw(st.integers(smallest, smallest + 5)),
+        draw(st.integers(smallest, smallest + 5)),
+    )
+    return layer, np.random.default_rng(shape).normal(size=shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_cases())
+def test_pixel_spectrum_forward_matches_im2col_route(case):
+    # rfft acts per channel block and rfft(0) = 0, so the layer's one
+    # rfft per pixel block, gathered per spatial offset, is rfft of the
+    # im2col patch blocks: the same operand, so the same bits. Recording
+    # or serving, compiled or not, every forward feeds the GEMM one
+    # operand layout.
+    layer, x = case
+    uncompiled = layer.forward(x)
+    layer.compile_inference()
+    served = layer.inference_forward(x)
+    np.testing.assert_array_equal(served, conv_oracle_forward(layer, x)[0])
+    np.testing.assert_array_equal(layer.forward(x), served)
+    np.testing.assert_array_equal(uncompiled, served)
+    reference = Conv2D(
+        layer.in_channels, layer.out_channels, layer.field,
+        stride=layer.stride, padding=layer.padding, seed=0,
+    )
+    reference.weight.value = layer.to_dense_filters()
+    reference.bias.value = layer.bias.value
+    np.testing.assert_allclose(served, reference.forward(x), atol=1e-9)

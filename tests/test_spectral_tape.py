@@ -20,7 +20,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tests.conftest import numeric_gradient
+from tests.conftest import (
+    conv_oracle_forward,
+    conv_patch_blocks,
+    numeric_gradient,
+)
 from repro.circulant.ops import (
     SpectralTape,
     block_circulant_backward,
@@ -36,6 +40,7 @@ from repro.fftcore.backend import get_backend
 from repro.nn import BlockCirculantDense, Sequential
 from repro.nn.block_circulant_conv import BlockCirculantConv2D
 from repro.nn.gradcheck import check_module
+from repro.nn.im2col import col2im
 
 
 def _einsum_conv_backward(w, patch_blocks, grad_blocks, backend=None):
@@ -187,6 +192,8 @@ class TestConvBackwardKernel:
             block_circulant_conv_backward(
                 w, patches, grad, cached_patch_spectrum=patches
             )
+        with pytest.raises(ShapeError):  # no patches and no spectrum
+            block_circulant_conv_backward(w, None, grad)
 
 
 class TestDenseLayerTape:
@@ -240,13 +247,13 @@ class TestConvLayerTape:
         layer = BlockCirculantConv2D(3, 5, 3, 2, seed=0)
         x = rng.normal(size=(2, 3, 6, 6))
         out = layer.forward(x)
-        tape = layer._tape  # backward consumes (and releases) the tape
         cot = rng.normal(size=out.shape)
         grad_in = layer.backward(cot)
-        # Forward is unchanged structurally; assert against a fresh
-        # kernel call on the recorded patch blocks.
+        # The layer gathers its patch spectrum from one rfft per pixel;
+        # assert against a fresh kernel call on the im2col patch blocks.
+        patch_blocks = conv_patch_blocks(layer, x)
         ref_blocks = block_circulant_conv_forward(
-            layer.weight.value, tape.blocks
+            layer.weight.value, patch_blocks
         )
         positions = out.shape[2] * out.shape[3]
         ref = ref_blocks.reshape(2 * positions, layer.pp * 2)[:, :5]
@@ -263,7 +270,7 @@ class TestConvLayerTape:
         padded = np.zeros((2 * positions, layer.pp * 2))
         padded[:, :5] = grad_flat
         gw_ref, _ = _einsum_conv_backward(
-            layer.weight.value, tape.blocks,
+            layer.weight.value, patch_blocks,
             padded.reshape(2 * positions, layer.pp, 2),
         )
         np.testing.assert_allclose(
@@ -280,6 +287,76 @@ class TestConvLayerTape:
         # Same bound as the dense layer: w, patches, grad — the seed
         # path re-transformed w and the patches in backward (5 calls).
         assert be.counts["rfft"] == 3
+
+    @pytest.mark.parametrize("backend", ["numpy", "radix2"])
+    @pytest.mark.parametrize(
+        "channels,out_channels,field,k,stride,padding",
+        [(3, 5, 3, 2, 1, 1), (16, 32, 3, 8, 1, 1), (5, 3, 2, 4, 2, 0),
+         (6, 1, 5, 4, 2, 3), (9, 7, 1, 8, 1, 0)],
+    )
+    def test_train_step_bits_match_im2col_route(
+        self, rng, backend, channels, out_channels, field, k, stride,
+        padding,
+    ):
+        layer = BlockCirculantConv2D(
+            channels, out_channels, field, k, stride=stride,
+            padding=padding, seed=2, backend=backend,
+        )
+        layer.bias.value = rng.normal(size=out_channels)
+        x = rng.normal(size=(3, channels, 6, 7))
+        out_ref, tape = conv_oracle_forward(layer, x, record=True)
+        cot = rng.normal(size=out_ref.shape)
+        batch, _, out_h, out_w = cot.shape
+        rows, pp = batch * out_h * out_w, layer.pp
+        grad = np.zeros((rows, pp * k))
+        grad[:, :out_channels] = cot.reshape(
+            batch, out_channels, -1
+        ).transpose(0, 2, 1).reshape(rows, out_channels)
+        gw_ref, gp_ref = block_circulant_conv_backward(
+            layer.weight.value, tape.blocks, grad.reshape(rows, pp, k),
+            backend, cached_spectrum=tape.weight_spectrum,
+            cached_patch_spectrum=tape.input_spectrum,
+        )
+        cols = gp_ref.reshape(rows, field**2, -1)[:, :, :channels].reshape(
+            batch, out_h * out_w, field, field, channels
+        ).transpose(0, 1, 4, 2, 3)
+        gin_ref = col2im(cols, x.shape, field, stride, padding)
+
+        out = layer.forward(x)
+        grad_in = layer.backward(cot)
+        np.testing.assert_array_equal(out, out_ref)
+        np.testing.assert_array_equal(layer.weight.grad, gw_ref)
+        np.testing.assert_array_equal(grad_in, gin_ref)
+
+    def test_activation_rfft_covers_pixels_not_patches(self, rng):
+        class ElementTally(CountingFFTBackend):
+            """Records the element count of every rfft input."""
+
+            def __init__(self):
+                super().__init__("numpy")
+                self.rfft_sizes = []
+
+            def rfft(self, x):
+                self.rfft_sizes.append(np.size(x))
+                return super().rfft(x)
+
+        be = ElementTally()
+        batch, channels, height, width = 2, 12, 6, 5
+        field, k, padding = 3, 4, 1
+        layer = BlockCirculantConv2D(
+            channels, 6, field, k, padding=padding, seed=0, backend=be
+        )
+        out = layer.forward(rng.normal(size=(batch, channels, height, width)))
+        layer.backward(rng.normal(size=out.shape))
+        positions = out.shape[2] * out.shape[3]
+        qc, pp = layer.qc, layer.pp
+        pixels = batch * (height + 2 * padding) * (width + 2 * padding)
+        # One transform of the padded feature map's pixel blocks (not of
+        # the r²-times larger patch blocks), then w, then the grad.
+        assert be.rfft_sizes == [
+            pixels * qc * k, layer.weight.size, batch * positions * pp * k,
+        ]
+        assert pixels * qc * k < batch * positions * field**2 * qc * k
 
     def test_gradcheck_through_layer(self, rng):
         layer = BlockCirculantConv2D(2, 3, 2, 2, seed=1)
