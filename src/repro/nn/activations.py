@@ -7,8 +7,21 @@ import numpy as np
 from repro.nn.module import Module
 
 
+def _relu(x: np.ndarray) -> np.ndarray:
+    """``np.where(x > 0, x, 0.0)`` bit for bit, without the mask: ``fmax``
+    maps NaN and ``-inf`` to a zero, and adding ``+0.0`` turns the
+    ``-0.0`` that NumPy's ``fmax`` keeps on some lanes into ``+0.0``."""
+    out = np.fmax(x, 0.0)
+    out += 0.0
+    return out
+
+
 class ReLU(Module):
-    """``max(0, x)`` — runs on the peripheral block's comparators (§4.2)."""
+    """``max(0, x)`` — runs on the peripheral block's comparators (§4.2).
+
+    Recording and serving share one value path; only the recording
+    ``forward`` keeps the ``x > 0`` mask for backward.
+    """
 
     shape_transparent = True
 
@@ -19,12 +32,11 @@ class ReLU(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return _relu(x)
 
     def inference_forward(self, x: np.ndarray) -> np.ndarray:
         """Reentrant serving forward: no mask cached on ``self``."""
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(x > 0, x, 0.0)
+        return _relu(np.asarray(x, dtype=np.float64))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:

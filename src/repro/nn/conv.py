@@ -1,8 +1,16 @@
 """Unstructured 2-D convolution layer (paper Eq. 2 / Eq. 6 baseline).
 
-Implemented as im2col + matrix multiply, exactly the Caffe-style
-reformulation the paper describes in §3.2 (Fig 6), so the block-circulant
-variant differs only in how the ``(C·r², P)`` filter matrix is represented.
+Implemented as im2col + matrix multiply, the Caffe-style reformulation the
+paper describes in §3.2 (Fig 6), so the block-circulant variant differs
+only in how the ``(P, C·r²)`` filter matrix is represented.
+
+The GEMM runs in Caffe's own layout: patches are extracted once into a
+``(B, C·r², OH·OW)`` buffer (one strided copy per kernel tap, no
+transpose) and each image's output is ``W(P, C·r²) @ cols``, which is
+already ``(P, OH·OW)`` so it reshapes to NCHW without a copy; the bias is
+added in place. Backward reads the same buffer: the weight gradient is one
+batched matmul against it, and the patch gradient ``Wᵀ @ grad`` is
+scattered back from the native ``(B, C, r, r, OH, OW)`` layout.
 """
 
 from __future__ import annotations
@@ -10,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.im2col import col2im, conv_output_size, im2col
+from repro.nn.im2col import _patch_blocks, _scatter_blocks, conv_output_size
 from repro.nn.initializers import he_normal, zeros
 from repro.nn.module import Module
 
@@ -78,19 +86,17 @@ class Conv2D(Module):
             )
         batch = x.shape[0]
         out_h, out_w = self.output_shape(x.shape[2], x.shape[3])
-        cols = im2col(x, self.field, self.stride, self.padding)
-        # (B, N, C, r, r) -> (B, N, C*r*r)
-        cols = cols.reshape(batch, out_h * out_w, -1)
+        # (B, C, r, r, OH, OW) -> (B, C*r*r, OH*OW): a free reshape.
+        cols = _patch_blocks(
+            x, self.field, self.stride, self.padding
+        ).reshape(batch, -1, out_h * out_w)
         if record:
             self._input_shape = x.shape
             self._cols = cols
-        w_mat = self.weight.value.reshape(self.out_channels, -1)
-        out = cols @ w_mat.T
+        out = self.weight.value.reshape(self.out_channels, -1) @ cols
         if self.bias is not None:
-            out = out + self.bias.value
-        return out.transpose(0, 2, 1).reshape(
-            batch, self.out_channels, out_h, out_w
-        )
+            out += self.bias.value[:, np.newaxis]
+        return out.reshape(batch, self.out_channels, out_h, out_w)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self._run_forward(x, record=True)
@@ -104,20 +110,19 @@ class Conv2D(Module):
             raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
         batch, _, out_h, out_w = grad_output.shape
-        # (B, P, OH, OW) -> (B, N, P)
+        # (B, P, OH, OW) -> (B, P, N): the forward GEMM's output layout.
         grad_flat = grad_output.reshape(
             batch, self.out_channels, out_h * out_w
-        ).transpose(0, 2, 1)
-        if self.bias is not None:
-            self.bias.grad += grad_flat.sum(axis=(0, 1))
-        w_mat = self.weight.value.reshape(self.out_channels, -1)
-        grad_w = np.einsum("bnp,bnc->pc", grad_flat, self._cols)
-        self.weight.grad += grad_w.reshape(self.weight.value.shape)
-        grad_cols = grad_flat @ w_mat
-        grad_cols = grad_cols.reshape(
-            batch, out_h * out_w, self.in_channels, self.field, self.field
         )
-        return col2im(
+        if self.bias is not None:
+            self.bias.grad += grad_flat.sum(axis=(0, 2))
+        grad_w = np.matmul(grad_flat, self._cols.transpose(0, 2, 1)).sum(0)
+        self.weight.grad += grad_w.reshape(self.weight.value.shape)
+        w_mat = self.weight.value.reshape(self.out_channels, -1)
+        grad_cols = (w_mat.T @ grad_flat).reshape(
+            batch, self.in_channels, self.field, self.field, out_h, out_w
+        )
+        return _scatter_blocks(
             grad_cols, self._input_shape, self.field, self.stride, self.padding
         )
 

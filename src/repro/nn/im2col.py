@@ -5,9 +5,12 @@ Eq. (6) as the matrix product ``Y = X F`` (Caffe-style), where each row of
 ``X`` is one receptive-field patch. These helpers perform that rewrite and
 its adjoint for NCHW tensors.
 
-Patches are returned *structured* as ``(batch, positions, C, r, r)`` so the
-block-circulant CONV layer can group the channel axis into circulant
-blocks; plain CONV flattens the last three axes.
+Public :func:`im2col` returns patches *structured* as
+``(batch, positions, C, r, r)``, the patch-per-row layout the paper draws
+and the block-circulant reference code groups into circulant blocks. The
+patches are built in their native ``(B, C, r, r, OH, OW)`` layout (one
+strided copy per kernel tap); plain CONV and its backward use that buffer
+directly through the private helpers, skipping the transpose copy.
 """
 
 from __future__ import annotations
@@ -26,6 +29,55 @@ def conv_output_size(size: int, field: int, stride: int, padding: int) -> int:
             f"stride={stride}, padding={padding}"
         )
     return out
+
+
+def _windows(x: np.ndarray, field: int, stride: int, out_h: int,
+             out_w: int):
+    """Yield ``(i, j, view)``: the ``(…, out_h, out_w)`` strided view of
+    ``x`` read by kernel tap ``(i, j)`` at every output position."""
+    for i in range(field):
+        i_end = i + stride * out_h
+        for j in range(field):
+            yield i, j, x[..., i:i_end:stride, j:j + stride * out_w:stride]
+
+
+def _patch_blocks(x: np.ndarray, field: int, stride: int,
+                  padding: int) -> np.ndarray:
+    """Patches of an NCHW tensor in their native ``(B, C, r, r, OH, OW)``
+    layout: one strided copy per kernel tap, no transpose. Reshaped to
+    ``(B, C·r², OH·OW)`` it is the right-hand operand of Caffe's
+    ``W @ cols`` convolution GEMM."""
+    batch, channels, height, width = x.shape
+    out_h = conv_output_size(height, field, stride, padding)
+    out_w = conv_output_size(width, field, stride, padding)
+    if padding > 0:
+        x = np.pad(
+            x, ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        )
+    blocks = np.empty(
+        (batch, channels, field, field, out_h, out_w), dtype=np.float64
+    )
+    for i, j, view in _windows(x, field, stride, out_h, out_w):
+        blocks[:, :, i, j] = view
+    return blocks
+
+
+def _scatter_blocks(blocks: np.ndarray,
+                    input_shape: tuple[int, int, int, int], field: int,
+                    stride: int, padding: int) -> np.ndarray:
+    """Adjoint of :func:`_patch_blocks`: scatter-add ``(B, C, r, r, OH, OW)``
+    blocks (any strides, broadcast views included) back to NCHW."""
+    batch, channels, height, width = input_shape
+    out_h, out_w = blocks.shape[-2:]
+    padded = np.zeros(
+        (batch, channels, height + 2 * padding, width + 2 * padding),
+        dtype=np.float64,
+    )
+    for i, j, view in _windows(padded, field, stride, out_h, out_w):
+        view += blocks[:, :, i, j]
+    if padding > 0:
+        return padded[:, :, padding:-padding, padding:-padding]
+    return padded
 
 
 def im2col(x: np.ndarray, field: int, stride: int = 1,
@@ -48,23 +100,10 @@ def im2col(x: np.ndarray, field: int, stride: int = 1,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise ShapeError(f"expected NCHW input, got shape {x.shape}")
-    batch, channels, height, width = x.shape
-    out_h = conv_output_size(height, field, stride, padding)
-    out_w = conv_output_size(width, field, stride, padding)
-    if padding > 0:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding))
-        )
-    cols = np.empty(
-        (batch, channels, field, field, out_h, out_w), dtype=np.float64
-    )
-    for i in range(field):
-        i_end = i + stride * out_h
-        for j in range(field):
-            j_end = j + stride * out_w
-            cols[:, :, i, j] = x[:, :, i:i_end:stride, j:j_end:stride]
+    blocks = _patch_blocks(x, field, stride, padding)
+    batch, channels, _, _, out_h, out_w = blocks.shape
     # (B, C, r, r, OH, OW) -> (B, OH*OW, C, r, r)
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(
+    return blocks.transpose(0, 4, 5, 1, 2, 3).reshape(
         batch, out_h * out_w, channels, field, field
     )
 
@@ -88,15 +127,4 @@ def col2im(cols: np.ndarray, input_shape: tuple[int, int, int, int],
     blocks = cols.reshape(
         batch, out_h, out_w, channels, field, field
     ).transpose(0, 3, 4, 5, 1, 2)
-    padded = np.zeros(
-        (batch, channels, height + 2 * padding, width + 2 * padding),
-        dtype=np.float64,
-    )
-    for i in range(field):
-        i_end = i + stride * out_h
-        for j in range(field):
-            j_end = j + stride * out_w
-            padded[:, :, i:i_end:stride, j:j_end:stride] += blocks[:, :, i, j]
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+    return _scatter_blocks(blocks, input_shape, field, stride, padding)

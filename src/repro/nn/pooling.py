@@ -4,6 +4,16 @@ Max pooling is "the dominant type of pooling strategy in state-of-the-art
 DCNNs" per the paper; average pooling is provided for completeness. In the
 CirCNN architecture both run on the peripheral computing block through
 comparators (O(n) work), which the architecture simulator accounts for.
+
+Both reduce over strided views, never over copied patches: kernel tap
+``(i, j)`` reads ``x[:, :, i::s, j::s]`` (cut to the output size) at every
+output position at once, and the ``r²`` views are folded into one
+accumulator with ``np.maximum`` / ``np.add`` in row-major tap order. The
+sum starts from ``+0.0``, as ``np.add.reduce`` does; the average divides it
+by ``r²``. ``forward`` and ``inference_forward`` share that value path;
+the recording ``MaxPool2D.forward`` additionally keeps each output's
+argmax tap (the first tap holding the maximum, or the first NaN), and
+backward scatters through the same views.
 """
 
 from __future__ import annotations
@@ -11,12 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.im2col import col2im, conv_output_size, im2col
+from repro.nn.im2col import _scatter_blocks, _windows, conv_output_size
 from repro.nn.module import Module
 
 
 class _Pool2D(Module):
-    """Shared machinery: patch extraction and scatter-add backward."""
+    """Shared machinery: strided-view reduction and scatter-add backward."""
 
     def __init__(self, field: int, stride: int | None = None):
         super().__init__()
@@ -31,40 +41,29 @@ class _Pool2D(Module):
             conv_output_size(width, self.field, self.stride, 0),
         )
 
-    def _extract(
-        self, x: np.ndarray
-    ) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-        """Pure patch extraction: ``(patches, input_shape)``, no state."""
+    def _views(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """``(x, views)``: the validated input and its ``r²`` tap views in
+        row-major tap order, each shaped like the output."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4:
             raise ShapeError(f"pooling expects NCHW input, got {x.shape}")
-        cols = im2col(x, self.field, self.stride, 0)
-        batch, positions, channels = cols.shape[:3]
-        return (
-            cols.reshape(batch, positions, channels, self.field**2),
-            x.shape,
+        out_h, out_w = self.output_shape(x.shape[2], x.shape[3])
+        views = [view for _, _, view in
+                 _windows(x, self.field, self.stride, out_h, out_w)]
+        return x, views
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self._reduce(x, record=True)
+
+    def inference_forward(self, x: np.ndarray) -> np.ndarray:
+        """Reentrant serving forward: identical values, no state writes."""
+        return self._reduce(x, record=False)
+
+    def _scatter(self, blocks: np.ndarray) -> np.ndarray:
+        """Scatter-add ``(B, C, r, r, OH, OW)`` tap gradients to NCHW."""
+        return _scatter_blocks(
+            blocks, self._input_shape, self.field, self.stride, 0
         )
-
-    def _patches(self, x: np.ndarray) -> np.ndarray:
-        patches, self._input_shape = self._extract(x)
-        return patches
-
-    def _scatter(self, grad_patches: np.ndarray) -> np.ndarray:
-        batch, positions, channels = grad_patches.shape[:3]
-        cols = grad_patches.reshape(
-            batch, positions, channels, self.field, self.field
-        )
-        return col2im(cols, self._input_shape, self.field, self.stride, 0)
-
-    def _to_nchw(
-        self, pooled: np.ndarray,
-        input_shape: tuple[int, int, int, int] | None = None,
-    ) -> np.ndarray:
-        if input_shape is None:
-            input_shape = self._input_shape
-        batch, _, channels = pooled.shape
-        height, width = self.output_shape(input_shape[2], input_shape[3])
-        return pooled.transpose(0, 2, 1).reshape(batch, channels, height, width)
 
 
 class MaxPool2D(_Pool2D):
@@ -74,32 +73,33 @@ class MaxPool2D(_Pool2D):
         super().__init__(field, stride)
         self._argmax: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        patches = self._patches(x)
-        self._argmax = np.argmax(patches, axis=-1)
-        return self._to_nchw(np.max(patches, axis=-1))
-
-    def inference_forward(self, x: np.ndarray) -> np.ndarray:
-        """Reentrant serving forward: no argmax/shape cached on ``self``."""
-        patches, input_shape = self._extract(x)
-        return self._to_nchw(np.max(patches, axis=-1), input_shape)
+    def _reduce(self, x: np.ndarray, record: bool) -> np.ndarray:
+        x, views = self._views(x)
+        out = views[0].copy()
+        for view in views[1:]:
+            np.maximum(out, view, out=out)
+        if record:
+            # np.argmax's rule: the first tap equal to the maximum, or the
+            # first NaN tap; walking backwards lets the earliest hit win.
+            argmax = np.zeros(out.shape, dtype=np.intp)
+            for tap in range(len(views) - 1, -1, -1):
+                hit = (views[tap] == out) | np.isnan(views[tap])
+                argmax[hit] = tap
+            self._input_shape = x.shape
+            self._argmax = argmax
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._argmax is None or self._input_shape is None:
             raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
         batch, channels, out_h, out_w = grad_output.shape
-        grad_flat = grad_output.reshape(
-            batch, channels, out_h * out_w
-        ).transpose(0, 2, 1)
-        grad_patches = np.zeros(
-            grad_flat.shape + (self.field**2,), dtype=np.float64
-        )
-        np.put_along_axis(
-            grad_patches, self._argmax[..., np.newaxis],
-            grad_flat[..., np.newaxis], axis=-1,
-        )
-        return self._scatter(grad_patches)
+        taps = np.arange(self.field**2).reshape(-1, 1, 1)
+        blocks = np.where(
+            self._argmax[:, :, np.newaxis] == taps,
+            grad_output[:, :, np.newaxis], 0.0,
+        ).reshape(batch, channels, self.field, self.field, out_h, out_w)
+        return self._scatter(blocks)
 
     def __repr__(self) -> str:
         return f"MaxPool2D(field={self.field}, stride={self.stride})"
@@ -108,28 +108,27 @@ class MaxPool2D(_Pool2D):
 class AvgPool2D(_Pool2D):
     """Average pooling over square windows."""
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        patches = self._patches(x)
-        return self._to_nchw(np.mean(patches, axis=-1))
-
-    def inference_forward(self, x: np.ndarray) -> np.ndarray:
-        """Reentrant serving forward: no input shape cached on ``self``."""
-        patches, input_shape = self._extract(x)
-        return self._to_nchw(np.mean(patches, axis=-1), input_shape)
+    def _reduce(self, x: np.ndarray, record: bool) -> np.ndarray:
+        x, views = self._views(x)
+        out = views[0] + 0.0
+        for view in views[1:]:
+            np.add(out, view, out=out)
+        out /= float(self.field**2)
+        if record:
+            self._input_shape = x.shape
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
             raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
         batch, channels, out_h, out_w = grad_output.shape
-        grad_flat = grad_output.reshape(
-            batch, channels, out_h * out_w
-        ).transpose(0, 2, 1)
-        share = grad_flat[..., np.newaxis] / float(self.field**2)
-        grad_patches = np.broadcast_to(
-            share, grad_flat.shape + (self.field**2,)
-        ).copy()
-        return self._scatter(grad_patches)
+        share = grad_output / float(self.field**2)
+        blocks = np.broadcast_to(
+            share[:, :, np.newaxis, np.newaxis],
+            (batch, channels, self.field, self.field, out_h, out_w),
+        )
+        return self._scatter(blocks)
 
     def __repr__(self) -> str:
         return f"AvgPool2D(field={self.field}, stride={self.stride})"

@@ -371,11 +371,6 @@ class MPInferenceServer(InferenceServer):
         self._wake_w = None
         self._next_worker = 0
 
-    @property
-    def worker_count(self) -> int:
-        """Configured pool size; the same value as :attr:`workers`."""
-        return self.workers
-
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "MPInferenceServer":
         """Publish every endpoint to shared memory and spawn the workers."""

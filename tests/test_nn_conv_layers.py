@@ -196,3 +196,50 @@ def test_pixel_spectrum_forward_matches_im2col_route(case):
     reference.weight.value = layer.to_dense_filters()
     reference.bias.value = layer.bias.value
     np.testing.assert_allclose(served, reference.forward(x), atol=1e-9)
+
+
+@st.composite
+def dense_conv_cases(draw):
+    """``(layer, input)`` for plain ``Conv2D`` over random geometry:
+    C 1–6, P 1–8, r 1–5, stride 1–3, padding 0..r−1, odd and non-square
+    maps, batch 1–3."""
+    field = draw(st.integers(1, 5))
+    padding = draw(st.integers(0, field - 1))
+    smallest = max(1, field - 2 * padding)
+    layer = Conv2D(
+        draw(st.integers(1, 6)), draw(st.integers(1, 8)), field,
+        stride=draw(st.integers(1, 3)), padding=padding,
+        seed=draw(st.integers(0, 2**16)),
+    )
+    layer.bias.value = np.random.default_rng(layer.out_channels).normal(
+        size=layer.out_channels
+    )
+    shape = (
+        draw(st.integers(1, 3)), layer.in_channels,
+        draw(st.integers(smallest, smallest + 8)),
+        draw(st.integers(smallest, smallest + 8)),
+    )
+    return layer, np.random.default_rng(shape).normal(size=shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_conv_cases())
+def test_conv2d_gemm_layout_matches_im2col_product(case):
+    # Recording and serving share one value path, so their bits agree;
+    # the Caffe-layout GEMM W @ cols sums the same products as the
+    # patch-per-row product cols @ Wᵀ, in BLAS's own order.
+    layer, x = case
+    served = layer.inference_forward(x)
+    np.testing.assert_array_equal(
+        layer.forward(x).view(np.uint64), served.view(np.uint64)
+    )
+    batch = x.shape[0]
+    out_h, out_w = layer.output_shape(x.shape[2], x.shape[3])
+    cols = im2col(x, layer.field, layer.stride, layer.padding)
+    w_mat = layer.weight.value.reshape(layer.out_channels, -1)
+    product = cols.reshape(batch, out_h * out_w, -1) @ w_mat.T
+    product += layer.bias.value
+    reference = product.transpose(0, 2, 1).reshape(served.shape)
+    np.testing.assert_allclose(
+        served, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max()
+    )

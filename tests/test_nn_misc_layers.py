@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn import (
@@ -17,7 +19,49 @@ from repro.nn import (
     SoftmaxCrossEntropyLoss,
     Tanh,
 )
+from repro.nn.im2col import col2im, im2col
 from tests.conftest import assert_layer_gradients
+
+SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+
+
+def _with_specials(rng, values):
+    """``values`` with a quarter of its entries replaced by ±0.0, NaN or
+    ±inf."""
+    flat = values.reshape(-1)
+    hit = rng.choice(flat.size, size=flat.size // 4, replace=False)
+    flat[hit] = rng.choice(SPECIALS, size=hit.size)
+    return values
+
+
+def _assert_bits(actual, expected):
+    np.testing.assert_array_equal(
+        actual.view(np.uint64), expected.view(np.uint64)
+    )
+
+
+def _patch_reduce(x, field, stride, reduce):
+    """``reduce`` over each window's im2col patch, back in NCHW."""
+    cols = im2col(x, field, stride, 0)
+    batch, positions, channels = cols.shape[:3]
+    pooled = reduce(cols.reshape(batch, positions, channels, -1), axis=-1)
+    out_h = (x.shape[2] - field) // stride + 1
+    return pooled.transpose(0, 2, 1).reshape(batch, channels, out_h, -1)
+
+
+def _argmax_route(x, grad, field, stride):
+    """Max-pool input gradient by the patch route: each output's gradient
+    goes to its window's ``np.argmax`` tap."""
+    cols = im2col(x, field, stride, 0)
+    batch, positions, channels = cols.shape[:3]
+    patches = cols.reshape(batch, positions, channels, -1)
+    grad_patches = np.zeros_like(patches)
+    np.put_along_axis(
+        grad_patches, np.argmax(patches, axis=-1)[..., np.newaxis],
+        grad.reshape(batch, channels, -1).transpose(0, 2, 1)[..., np.newaxis],
+        axis=-1,
+    )
+    return col2im(grad_patches.reshape(cols.shape), x.shape, field, stride)
 
 
 class TestPooling:
@@ -61,10 +105,93 @@ class TestPooling:
             MaxPool2D(2).forward(rng.normal(size=(4, 4)))
 
 
+    @pytest.mark.parametrize("shape,field,stride", [
+        ((32, 16, 32, 32), 2, 2),  # mini-AlexNet pool1 on a batch of 32
+        ((32, 32, 16, 16), 2, 2),  # pool2
+        ((8, 16, 27, 27), 3, 2),   # AlexNet's overlapping 3/2 window
+    ])
+    def test_matches_numpy_reductions_at_served_shapes(
+        self, rng, shape, field, stride
+    ):
+        # At these sizes np.max / np.mean fold the window taps one by one
+        # in row-major order, exactly as the strided-view reduction does,
+        # so every finite, infinite and signed-zero bit agrees. The sign
+        # of a NaN born inside a window (inf - inf next to an input NaN)
+        # records which operand an add happened to propagate, so NaNs are
+        # compared as NaNs. Small arrays make NumPy switch to its
+        # pairwise/SIMD reduce, which the property below covers by value.
+        x = _with_specials(rng, rng.normal(size=shape))
+        with np.errstate(invalid="ignore"):
+            for layer, reduce in ((MaxPool2D(field, stride), np.max),
+                                  (AvgPool2D(field, stride), np.mean)):
+                out = layer.inference_forward(x)
+                expected = _patch_reduce(x, field, stride, reduce)
+                nan = np.isnan(expected)
+                np.testing.assert_array_equal(np.isnan(out), nan)
+                _assert_bits(out[~nan], expected[~nan])
+
+
+@st.composite
+def pool_cases(draw):
+    """``(field, stride, x)``: field 1–4, stride 1–4 (overlapping, tiling
+    and gapped windows), odd and non-square maps, batch 1, small integer
+    values (ties) with ±0.0, NaN and ±inf mixed in."""
+    field = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 4))
+    shape = (
+        draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+        draw(st.integers(field, field + 9)),
+        draw(st.integers(field, field + 9)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = _with_specials(rng, rng.integers(-3, 4, size=shape).astype(float))
+    return field, stride, x
+
+
+@settings(max_examples=80, deadline=None)
+@given(pool_cases())
+def test_pooling_and_relu_share_one_value_path(case):
+    field, stride, x = case
+    rng = np.random.default_rng(x.size)
+    with np.errstate(invalid="ignore"):
+        for layer_cls, reduce in ((MaxPool2D, np.max), (AvgPool2D, np.mean)):
+            layer = layer_cls(field, stride)
+            out = layer.forward(x)
+            _assert_bits(layer.inference_forward(x), out)
+            expected = _patch_reduce(x, field, stride, reduce)
+            if layer_cls is MaxPool2D:
+                # Equal as values: which zero np.max returns for a ±0.0
+                # tie depends on NumPy's reduce path.
+                np.testing.assert_array_equal(out, expected)
+                grad = rng.normal(size=out.shape)
+                _assert_bits(
+                    layer.backward(grad),
+                    _argmax_route(x, grad, field, stride),
+                )
+            else:
+                np.testing.assert_allclose(
+                    out, expected, rtol=1e-15, atol=1e-15, equal_nan=True
+                )
+    relu = ReLU()
+    out = relu.forward(x)
+    _assert_bits(out, relu.inference_forward(x))
+    _assert_bits(out, np.where(x > 0, x, 0.0))
+
+
 class TestActivations:
     def test_relu_values(self):
         x = np.array([[-1.0, 0.0, 2.0]])
         np.testing.assert_allclose(ReLU().forward(x), [[0.0, 0.0, 2.0]])
+
+    def test_relu_matches_where_bits_on_special_values(self):
+        # Every length up to 40 puts each special value in both NumPy's
+        # vector lanes and its scalar tail, where fmax keeps -0.0.
+        for size in range(1, 41):
+            for shift in range(len(SPECIALS)):
+                x = np.resize(np.roll(SPECIALS, shift), size)
+                expected = np.where(x > 0, x, 0.0)
+                _assert_bits(ReLU().forward(x), expected)
+                _assert_bits(ReLU().inference_forward(x), expected)
 
     def test_relu_gradient_masks_negatives(self, rng):
         layer = ReLU()

@@ -20,8 +20,11 @@ each measured path (``src``, the benchmark's ``paths`` and
 run settings, and every run's raw metric values, in run order. A tree hash
 names the measured code even before it is committed: it equals
 ``git rev-parse <commit>:<path>`` for any commit holding that code. It also
-prints each side's per-metric median and quartiles. It draws no verdict
-and knows no bound: those belong to ``perfbench`` and ``BENCHMARK.json``.
+prints each side's per-metric median and quartiles, and for each of
+``BENCHMARK.json``'s ``end_to_end`` metrics how many pairs the working tree
+won in that metric's ``better`` direction (ties and failed runs win
+nothing; a gain needs at least 9 of 10). It draws no verdict and knows no
+bound: those belong to ``perfbench`` and ``BENCHMARK.json``.
 
 Standard library only.
 """
@@ -105,6 +108,30 @@ def run_once(tree: Path, command: list[str], seconds: float, args) -> dict:
     }
 
 
+def pair_wins(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """``{metric: (pairs won by the change, pairs run)}`` for each
+    end-to-end metric, judged in its ``better`` direction.
+
+    A pair is won when both of its runs succeeded and the change's value
+    is strictly better than the base's; a tie or a failed run wins
+    nothing, but the pair still counts as run.
+    """
+    pairs: dict[int, dict[str, dict]] = {}
+    for run in runs:
+        pairs.setdefault(run["pair"], {})[run["side"]] = run
+    wins = {}
+    for metric in end_to_end:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        won = 0
+        for sides in pairs.values():
+            values = [sides.get(side, {}).get("metrics", {}).get(name)
+                      for side in ("base", "change")]
+            if None not in values and sign * (values[1] - values[0]) > 0:
+                won += 1
+        wins[name] = (won, len(pairs))
+    return wins
+
+
 def main(argv=None) -> int:
     args = _parse(argv)
     # The benchmark's declared command, run length and measured code.
@@ -166,6 +193,8 @@ def main(argv=None) -> int:
             low, mid, high = statistics.quantiles(values, n=4)
             cells.append(f"{side} {mid:10.5g} [{low:10.5g}, {high:10.5g}]")
         print(f"{name:<18} {'  '.join(cells)} {units[name]}")
+    for name, (won, run) in pair_wins(runs, benchmark["end_to_end"]).items():
+        print(f"change won {won}/{run} pairs on {name}")
     print(f"wrote {out}")
     return 0
 
