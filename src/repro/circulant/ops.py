@@ -30,6 +30,9 @@ zeros from padding), and ``rfft(im2col(x))`` equals the im2col gather of
 the per-pixel ``rfft``: the CONV layer transforms each pixel block of its
 feature map once and gathers the patch spectrum straight into the
 frequency-major GEMM operand, bit-identical to transforming every patch.
+Its pipeline is plane-major from the input pixels to the NCHW output
+(the transform axis outermost in memory), which the numpy backend
+transforms as one GEMM against its DFT table for ``k ≤ 8``.
 
 All functions accept an FFT ``backend`` name so every experiment can be
 replayed on the from-scratch radix-2 kernel, and a ``cached_spectrum=``
@@ -322,6 +325,14 @@ def block_circulant_conv_forward(
     BLAS GEMM the FC layer uses, with the offset axis folded into the
     contraction.
 
+    This is the im2col route, kept as the reference the layer's
+    per-pixel route (:func:`_patch_spectrum`) is checked against. The
+    patch blocks are copied into plane-major ``(k, r², q, batch)``
+    memory before the ``rfft``, the layout the layer transforms its
+    pixel blocks in, so on the numpy backend both routes run the same
+    DFT-table GEMM per block and get the same spectrum bits; the
+    spectrum comes back already frequency-major.
+
     Parameters
     ----------
     w:
@@ -366,13 +377,41 @@ def block_circulant_conv_forward(
     # recording or not, as ``_patch_spectrum`` lays it out: ``matmul``
     # picks its kernel (and rounding) by strides, so one layout keeps
     # this kernel and the layer bit-identical, and a tape's backward
-    # reuse zero-copy.
-    pf = be.rfft(patch_blocks)
-    pf = np.ascontiguousarray(pf.transpose(3, 1, 2, 0)).transpose(3, 1, 2, 0)
+    # reuse zero-copy. (The outer copy is a no-op on the numpy backend,
+    # which keeps the plane-major input's memory order.)
+    pf = _frequency_major(be.rfft(_frequency_major(patch_blocks)))
     out = be.irfft(spectral_contract(wf, pf), n=k)
     if record:
         return out, SpectralTape(patch_blocks, pf, wf)
     return out
+
+
+def _frequency_major(blocks: np.ndarray) -> np.ndarray:
+    """``blocks``, ``(batch, r², q, n)``, behind ``(n, r², q, batch)``
+    memory: copied unless it is laid out so already.
+
+    It is the tape's frequency-major spectrum layout and, for time-domain
+    blocks, the plane-major layout that the numpy backend transforms as
+    one GEMM against its DFT table, keeping the result in that layout.
+    """
+    return np.ascontiguousarray(blocks.transpose(3, 1, 2, 0)).transpose(
+        3, 1, 2, 0
+    )
+
+
+def _channel_blocks(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block-major views of an NCHW-like ``(batch, C, ...)`` array.
+
+    Returns ``(head, tail)``: ``head`` is the ``(k, C // k, batch, ...)``
+    view of the whole ``k``-channel blocks, ``tail`` the
+    ``(C % k, batch, ...)`` view of the partial last block (empty when
+    ``k`` divides ``C``). Assigning through them moves channel blocks
+    between NCHW and plane-major ``(k, blocks, batch, ...)`` memory in
+    one strided copy each.
+    """
+    full = a.shape[1] - a.shape[1] % k
+    head = a[:, :full].reshape(a.shape[0], -1, k, *a.shape[2:])
+    return head.swapaxes(0, 2), a[:, full:].swapaxes(0, 1)
 
 
 def _patch_spectrum(x: np.ndarray, field: int, stride: int, padding: int,
@@ -381,9 +420,18 @@ def _patch_spectrum(x: np.ndarray, field: int, stride: int, padding: int,
 
     Each patch block is one pixel's ``k``-channel block or padding zeros,
     and ``rfft(0) = 0``, so transforming the pixel blocks of the padded
-    input once, ``(batch, H+2·padding, W+2·padding, q, k)``, and gathering
-    the ``r²`` shifted windows gives ``rfft`` of the patch blocks bit for
-    bit, at about ``1/r²`` of the transformed elements.
+    input once and gathering the ``r²`` shifted windows gives ``rfft`` of
+    the patch blocks bit for bit, at about ``1/r²`` of the transformed
+    elements.
+
+    The pixel blocks are stored plane-major, ``(k, q, batch, H+2·padding,
+    W+2·padding)`` memory, filled from NCHW by one strided assignment, so
+    the numpy backend transforms them as one GEMM against its DFT table
+    and returns the spectrum in ``(f, q, batch, H+2·padding, W+2·padding)``
+    memory; the window gather then copies contiguous output-row runs.
+    Every conv route transforms its blocks in this layout
+    (:func:`_frequency_major`), which is what keeps their spectra, and
+    so their outputs, the same bits.
 
     Returns the ``(batch·positions, r², q, f)`` view over
     ``(f, r², q, batch·positions)``-contiguous memory, the layout
@@ -391,17 +439,21 @@ def _patch_spectrum(x: np.ndarray, field: int, stride: int, padding: int,
     :func:`spectral_contract` folds into its GEMM operand without a copy.
     """
     be = get_backend(backend)
-    batch, channels, height, width = x.shape
-    padded_h, padded_w = height + 2 * padding, width + 2 * padding
-    pixels = np.zeros((batch, padded_h, padded_w, q * k), dtype=np.float64)
-    pixels[:, padding:padding + height, padding:padding + width,
-           :channels] = x.transpose(0, 2, 3, 1)
-    xf = be.rfft(pixels.reshape(batch, padded_h, padded_w, q, k))
-    # (batch, out_h, out_w, q, f, r, r) window view, then one strided
+    batch, _, height, width = x.shape
+    pixels = np.zeros(
+        (k, q, batch, height + 2 * padding, width + 2 * padding)
+    )
+    interior = pixels[..., padding:padding + height, padding:padding + width]
+    head, tail = _channel_blocks(x, k)
+    interior[:, :head.shape[1]] = head
+    if tail.size:
+        interior[:tail.shape[0], head.shape[1]] = tail
+    xf = be.rfft(pixels.transpose(1, 2, 3, 4, 0))
+    # (q, batch, out_h, out_w, f, r, r) window view, then one strided
     # copy into frequency-major (f, r, r, q, batch, out_h, out_w) memory.
-    windows = sliding_window_view(xf, (field, field), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    pf = np.ascontiguousarray(windows.transpose(4, 5, 6, 3, 0, 1, 2))
+    windows = sliding_window_view(xf, (field, field), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    pf = np.ascontiguousarray(windows.transpose(4, 5, 6, 0, 1, 2, 3))
     return pf.reshape(pf.shape[0], field * field, q, -1).transpose(3, 1, 2, 0)
 
 
@@ -585,7 +637,8 @@ def block_circulant_conv_backward(
         wf = cached_spectrum
         _check_spectrum_shape(wf, w.shape)
     if cached_patch_spectrum is None:
-        pf = be.rfft(np.asarray(patch_blocks, dtype=np.float64))
+        # Transformed in the forward's layout, so to the same bits.
+        pf = be.rfft(_frequency_major(np.asarray(patch_blocks, np.float64)))
     else:
         pf = cached_patch_spectrum
         _check_spectrum_shape(pf, patch_shape)

@@ -16,12 +16,14 @@ This package reimplements that kernel in software:
 - :mod:`repro.fftcore.ops_count` — exact butterfly / real-operation /
   memory-traffic counts consumed by the architecture simulator.
 - :mod:`repro.fftcore.backend` — pluggable backends (:func:`get_backend`,
-  :func:`set_default_backend`, :func:`register_backend`): the numerically
-  identical ``numpy.fft`` implementation for speed, the from-scratch
-  radix-2 kernels, or any custom :class:`FFTBackend` registered by name.
+  :func:`set_default_backend`, :func:`register_backend`): ``numpy.fft``
+  for speed (with plane-major transforms of at most 8 points run as one
+  GEMM against a DFT table), the from-scratch radix-2 kernels, or any
+  custom :class:`FFTBackend` registered by name; all agree to rounding.
 
 The radix-2 and real-FFT kernels keep their per-size constants
-(bit-reversal permutations, stage twiddles, real-FFT unpack tables) in
+(bit-reversal permutations, stage twiddles, real-FFT unpack tables, the
+numpy backend's DFT tables) in
 read-only ROM-style caches filled by the first transform of each size —
 the package's only FFT memo. :func:`clear_plan_caches` empties them.
 """

@@ -1,8 +1,12 @@
 """Pluggable FFT backends.
 
-Two numerically identical implementations are available:
+Two implementations that agree to rounding (not bit for bit) are
+available:
 
-- ``"numpy"`` — ``numpy.fft`` (C-speed; the default for training loops);
+- ``"numpy"`` — ``numpy.fft`` (C-speed; the default for training loops
+  and serving), except that plane-major transforms of 2, 4 or 8 points
+  run as one BLAS GEMM against a read-only DFT table (see
+  :class:`NumpyFFTBackend`);
 - ``"radix2"`` — the from-scratch kernels in this package (the faithful
   model of the CirCNN hardware dataflow; used in tests and demos).
 
@@ -11,10 +15,11 @@ argument, so every experiment can be re-run on the from-scratch kernel to
 certify the two agree.
 
 Backends hold no per-size state. The radix-2 kernels read their
-bit-reversal, twiddle and real-FFT tables from read-only ROM-style caches
-(:mod:`repro.fftcore.radix2`, :mod:`repro.fftcore.real`) that the first
-transform of a size fills, so no later call of that size re-derives a
-twiddle factor; :func:`clear_plan_caches` empties them.
+bit-reversal, twiddle and real-FFT tables, and the numpy backend its DFT
+tables, from read-only ROM-style caches (:mod:`repro.fftcore.radix2`,
+:mod:`repro.fftcore.real`) that the first transform of a size fills, so
+no later call of that size re-derives a twiddle factor;
+:func:`clear_plan_caches` empties them.
 """
 
 from __future__ import annotations
@@ -23,7 +28,12 @@ import numpy as np
 
 from repro.errors import BackendError
 from repro.fftcore.radix2 import clear_twiddle_caches, fft_radix2, ifft_radix2
-from repro.fftcore.real import clear_real_fft_caches, irfft_real, rfft_real
+from repro.fftcore.real import (
+    clear_real_fft_caches,
+    dft_tables,
+    irfft_real,
+    rfft_real,
+)
 
 
 class FFTBackend:
@@ -47,8 +57,89 @@ class FFTBackend:
         return f"<FFTBackend {self.name}>"
 
 
+#: Transform sizes of the DFT-table path; see :class:`NumpyFFTBackend`.
+_TABLE_SIZES = (2, 4, 8)
+
+
+def _table_operand(x: np.ndarray, dtype, length: int):
+    """``(cols, shape, axes)`` when a transform of the array ``x`` (at
+    least two axes, of a size in ``_TABLE_SIZES``) takes the DFT-table
+    path, else ``None``.
+
+    It does when ``x`` is a non-empty ``dtype`` array, its last axis
+    ``length`` long, whose memory is **plane-major**: the last
+    (transform) axis has the largest stride, and the other axes, taken
+    by decreasing stride, are C-contiguous behind it. ``cols`` is then
+    the ``(length, M)`` C-contiguous view holding every transform line
+    as one column, ``shape`` the other axes' lengths in memory order,
+    and ``axes`` the transpose that turns a ``(width, *shape)`` result
+    back into ``x``'s axis order. A C-contiguous array (``n ≥ 2``, so
+    its last stride is the smallest) is never plane-major.
+    """
+    strides = x.strides
+    if (strides[-1] != max(strides) or x.dtype != dtype
+            or x.shape[-1] != length or x.size == 0):
+        return None
+    # Every axis reversed is the layout the GEMMs of spectral_contract
+    # hand to irfft; checked first because a small call's cost is its
+    # Python steps. ``transpose(None)`` reverses the axes back.
+    plane = x.T
+    if plane.flags.c_contiguous:
+        return plane.reshape(length, -1), plane.shape[1:], None
+    last = x.ndim - 1
+    order = sorted(range(last), key=strides.__getitem__, reverse=True)
+    plane = x.transpose(last, *order)
+    if not plane.flags.c_contiguous:
+        return None
+    axes = sorted(range(x.ndim), key=(last, *order).__getitem__)
+    return plane.reshape(length, -1), plane.shape[1:], axes
+
+
+def _table_product(table: np.ndarray, cols: np.ndarray, shape, axes,
+                   bins: int | None = None) -> np.ndarray:
+    """``table @ cols`` laid back out in the input's memory order.
+
+    With ``bins``, the table's rows stack real over imaginary parts and
+    the result is a complex spectrum of ``bins`` bins per line.
+    """
+    if cols.shape[1] == 1:
+        # A one-column product would go to gemv, whose rounding differs
+        # from gemm's; every width >= 2 gives a column the same bits.
+        rows = np.matmul(table, np.concatenate((cols, cols), axis=1))[:, :1]
+    else:
+        rows = np.matmul(table, cols)
+    if bins is not None:
+        spectrum = np.empty((bins, rows.shape[1]), dtype=np.complex128)
+        spectrum.real = rows[:bins]
+        spectrum.imag = rows[bins:]
+        rows = spectrum
+    return rows.reshape(rows.shape[0], *shape).transpose(axes)
+
+
 class NumpyFFTBackend(FFTBackend):
-    """``numpy.fft`` — fast production path."""
+    """``numpy.fft``, plus one BLAS GEMM per plane-major transform of
+    ``n ≤ 8`` points — the fast production path.
+
+    ``rfft``/``irfft`` of a ``float64``/``complex128`` array of at least
+    two axes whose memory is **plane-major** (the transform axis
+    outermost, see :func:`_table_operand`) and whose length is 2, 4 or 8
+    run as one GEMM against the read-only DFT matrices of
+    :func:`repro.fftcore.real.dft_tables`: ``T(2h, n) @ X(n, M)`` forward
+    and ``G(n, 2h) @ [Re; Im](2h, M)`` inverse, every line a column.
+    pocketfft spends ~50 ns of per-line overhead on such tiny lines,
+    most of their cost; the GEMM has none. The result keeps the input's
+    memory order, so a plane-major spectrum comes back plane-major, and
+    DC/Nyquist imaginary parts come out exactly 0.
+
+    Every other input — every C-contiguous one included — goes to
+    ``numpy.fft`` exactly as before. The size limit is not a tuning
+    knob: with OpenBLAS, a GEMM column's bits do not depend on the
+    number of columns while the contracted length is at most 10 (the
+    ``2h = 10`` of ``n = 8``'s inverse), but do at 16. That independence
+    is what makes a line's transform the same bits whichever batch it
+    rides in — the CONV layer's pixel route and the im2col route agree
+    bit for bit because of it.
+    """
 
     name = "numpy"
 
@@ -59,10 +150,23 @@ class NumpyFFTBackend(FFTBackend):
         return np.fft.ifft(x, axis=-1)
 
     def rfft(self, x: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(x, axis=-1)
+        n = x.shape[-1] if isinstance(x, np.ndarray) and x.ndim > 1 else 0
+        found = (_table_operand(x, np.float64, n) if n in _TABLE_SIZES
+                 else None)
+        if found is None:
+            return np.fft.rfft(x, axis=-1)
+        return _table_product(dft_tables(n)[0], *found, bins=n // 2 + 1)
 
     def irfft(self, x: np.ndarray, n: int) -> np.ndarray:
-        return np.fft.irfft(x, n=n, axis=-1)
+        found = (_table_operand(x, np.complex128, n // 2 + 1)
+                 if n in _TABLE_SIZES and isinstance(x, np.ndarray)
+                 and x.ndim > 1 else None)
+        if found is None:
+            return np.fft.irfft(x, n=n, axis=-1)
+        cols, shape, axes = found
+        # (h, M) complex -> (2h, M): real parts over imaginary.
+        stacked = np.concatenate((cols.real, cols.imag))
+        return _table_product(dft_tables(n)[1], stacked, shape, axes)
 
 
 class Radix2FFTBackend(FFTBackend):
@@ -254,9 +358,9 @@ def set_default_backend(name: "str | FFTBackend") -> None:
 def clear_plan_caches() -> None:
     """Empty the FFT constant caches — the one clear path.
 
-    Drops the bit-reversal, stage-twiddle and real-FFT table caches, the
-    only FFT memo in the process; the next transform of each size
-    rebuilds its tables. Intended for tests and long-running servers
+    Drops the bit-reversal, stage-twiddle, real-FFT and DFT table
+    caches, the only FFT memo in the process; the next transform of each
+    size rebuilds its tables. Intended for tests and long-running servers
     that want to bound memory after a burst of unusual transform sizes.
     """
     clear_twiddle_caches()

@@ -25,6 +25,7 @@ from repro.utils.validation import ensure_power_of_two
 # repeated transforms (the serving fast path) do no trig on the hot path.
 _RFFT_TABLE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _IRFFT_TABLE_CACHE: dict[int, np.ndarray] = {}
+_DFT_TABLE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _rfft_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -54,10 +55,46 @@ def _irfft_twiddle(n: int) -> np.ndarray:
     return twiddle
 
 
+def dft_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached read-only real-DFT matrices ``(forward, inverse)`` for
+    ``n ∈ {2, 4, 8}``, with ``h = n//2 + 1`` half-spectrum bins.
+
+    ``forward`` is ``(2h, n)``: rows ``f`` and ``h + f`` hold
+    ``cos θ`` and ``−sin θ`` for ``θ = 2π·(j·f mod n)/n``, so
+    ``forward @ x`` stacks the real parts of ``rfft(x)`` over the
+    imaginary parts. ``inverse`` is ``(n, 2h)``: ``(w_f/n)·(cos θ, −sin θ)``
+    with ``w_f = 1`` at DC and Nyquist and 2 elsewhere, so
+    ``inverse @ [Re; Im]`` is ``irfft``. For these sizes ``θ`` is a
+    multiple of π/4, so every entry is exactly 0, ±1 or ±√½ (times a
+    power of two), and the DC and Nyquist imaginary rows and columns
+    are exactly zero.
+    """
+    cached = _DFT_TABLE_CACHE.get(n)
+    if cached is not None:
+        return cached
+    if n not in (2, 4, 8):
+        raise ShapeError(f"DFT tables exist for n in (2, 4, 8), got {n}")
+    half = np.sqrt(0.5)
+    # cos and sin of each eighth of a turn, exact where they are 0 or ±1.
+    cos8 = np.array([1.0, half, 0.0, -half, -1.0, -half, 0.0, half])
+    sin8 = np.array([0.0, half, 1.0, half, 0.0, -half, -1.0, -half])
+    h = n // 2 + 1
+    eighths = (np.outer(np.arange(h), np.arange(n)) % n) * (8 // n)
+    forward = np.concatenate((cos8[eighths], -sin8[eighths]))
+    weight = np.full(h, 2.0 / n)
+    weight[0] = weight[-1] = 1.0 / n
+    inverse = np.ascontiguousarray(forward.T * np.tile(weight, 2))
+    for table in (forward, inverse):
+        table.setflags(write=False)
+    _DFT_TABLE_CACHE[n] = (forward, inverse)
+    return forward, inverse
+
+
 def clear_real_fft_caches() -> None:
-    """Drop the cached rfft/irfft tables (tests/memory)."""
+    """Drop the cached rfft/irfft and DFT tables (tests/memory)."""
     _RFFT_TABLE_CACHE.clear()
     _IRFFT_TABLE_CACHE.clear()
+    _DFT_TABLE_CACHE.clear()
 
 
 def rfft_real(x: np.ndarray) -> np.ndarray:

@@ -25,6 +25,13 @@ bit-identical to ``rfft`` of the im2col patch blocks at about ``1/r²`` of
 the forward FFT work. (The op-count model,
 :func:`repro.analysis.complexity.block_circulant_conv_work`, keeps the
 paper's per-patch count.)
+
+The whole forward is plane-major — the transform axis outermost in
+memory — from the pixel blocks, filled straight from NCHW, through the
+spectra to the output blocks, which one bias add per channel-block group
+stores into NCHW. On the numpy backend that lets ``k ≤ 8`` transforms run
+as one GEMM against the DFT table, with no per-line FFT overhead and no
+layout copies around the transforms.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import numpy as np
 
 from repro.circulant.ops import (
     SpectralTape,
+    _channel_blocks,
     _patch_spectrum,
     block_circulant_conv_backward,
     block_dims,
@@ -160,7 +168,6 @@ class BlockCirculantConv2D(Module):
         be = get_backend(self.backend)
         batch = x.shape[0]
         out_h, out_w = self.output_shape(x.shape[2], x.shape[3])
-        positions = out_h * out_w
         k = self.block_size
         # Same per-frequency GEMM as BlockCirculantDense; the patch
         # spectrum comes from one rfft per pixel block, never from im2col.
@@ -175,15 +182,25 @@ class BlockCirculantConv2D(Module):
             self._input_shape = x.shape
             self._geometry = (batch, out_h, out_w)
             self._tape = SpectralTape(None, pf, wf)
-        out = y_blocks.reshape(batch * positions, self.pp * k)
-        out = out[:, : self.out_channels]
-        if self.bias is not None:
-            out = out + self.bias.value
-        return (
-            out.reshape(batch, positions, self.out_channels)
-            .transpose(0, 2, 1)
-            .reshape(batch, self.out_channels, out_h, out_w)
-        )
+        # (k, p, batch, out_h, out_w) view of the output blocks — the
+        # irfft's own plane-major memory on the numpy backend — stored
+        # into NCHW with the bias added on the way.
+        blocks = y_blocks.reshape(
+            batch, out_h, out_w, self.pp, k
+        ).transpose(4, 3, 0, 1, 2)
+        out = np.empty((batch, self.out_channels, out_h, out_w))
+        head, tail = _channel_blocks(out, k)
+        stores = [(head, blocks[:, :head.shape[1]])]
+        if tail.size:
+            stores.append((tail, blocks[:tail.shape[0], head.shape[1]]))
+        if self.bias is None:
+            for dst, src in stores:
+                dst[...] = src
+        else:
+            biases = _channel_blocks(self.bias.value.reshape(1, -1, 1, 1), k)
+            for (dst, src), bias in zip(stores, biases):
+                np.add(src, bias, out=dst)
+        return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self._run_forward(x, record=True)

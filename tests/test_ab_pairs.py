@@ -58,3 +58,30 @@ def test_metric_missing_from_a_run_wins_nothing():
         "throughput_per_s": (0, 1),
         "latency_p50_ms": (0, 1),
     }
+
+
+def test_paired_ratio_is_the_median_of_change_over_base_per_pair():
+    runs = [
+        _run(0, "base", 100.0, 10.0), _run(0, "change", 120.0, 8.0),
+        _run(1, "change", 90.0, 12.0), _run(1, "base", 100.0, 10.0),
+        _run(2, "base", 200.0, 10.0), _run(2, "change", 300.0, 10.0),
+        # A failed run drops its pair from the ratio.
+        _run(3, "base", 100.0, 10.0),
+        {"pair": 3, "side": "change", "returncode": 1, "stderr_tail": []},
+    ]
+    assert ab_pairs.paired_ratios(runs, END_TO_END) == {
+        "throughput_per_s": 1.2,
+        "latency_p50_ms": 1.0,
+    }
+
+
+def test_paired_ratio_without_a_complete_pair_is_none():
+    runs = [
+        _run(0, "base", 0.0, 10.0), _run(0, "change", 120.0, 8.0),
+        {"pair": 1, "side": "base", "returncode": 1, "stderr_tail": []},
+        _run(1, "change", 90.0, 12.0),
+    ]
+    assert ab_pairs.paired_ratios(runs, END_TO_END) == {
+        "throughput_per_s": None,
+        "latency_p50_ms": 0.8,
+    }

@@ -95,7 +95,13 @@ class TestRecordMode:
         out, tape = block_circulant_conv_forward(w, patches, record=True)
         np.testing.assert_array_equal(out, plain)
         be = get_backend(None)
-        np.testing.assert_array_equal(tape.input_spectrum, be.rfft(patches))
+        # The kernel transforms its patch blocks in the plane-major
+        # (k, r², q, batch) memory layout.
+        plane_major = np.ascontiguousarray(
+            patches.transpose(3, 1, 2, 0)
+        ).transpose(3, 1, 2, 0)
+        np.testing.assert_array_equal(tape.input_spectrum,
+                                      be.rfft(plane_major))
         np.testing.assert_array_equal(tape.weight_spectrum, be.rfft(w))
 
     def test_backward_accepts_cached_input_spectrum(self, rng):

@@ -23,8 +23,9 @@ names the measured code even before it is committed: it equals
 prints each side's per-metric median and quartiles, and for each of
 ``BENCHMARK.json``'s ``end_to_end`` metrics how many pairs the working tree
 won in that metric's ``better`` direction (ties and failed runs win
-nothing; a gain needs at least 9 of 10). It draws no verdict and knows no
-bound: those belong to ``perfbench`` and ``BENCHMARK.json``.
+nothing; a gain needs at least 9 of 10) and the median over the pairs of
+the change/base ratio. It draws no verdict and knows no bound: those
+belong to ``perfbench`` and ``BENCHMARK.json``.
 
 Standard library only.
 """
@@ -108,6 +109,17 @@ def run_once(tree: Path, command: list[str], seconds: float, args) -> dict:
     }
 
 
+def _pair_values(runs: list[dict], name: str) -> list[list]:
+    """``[base value, change value]`` of metric ``name`` per pair, in pair
+    order; a failed run or a missing metric reads ``None``."""
+    pairs: dict[int, dict[str, dict]] = {}
+    for run in runs:
+        pairs.setdefault(run["pair"], {})[run["side"]] = run
+    return [[sides.get(side, {}).get("metrics", {}).get(name)
+             for side in ("base", "change")]
+            for _, sides in sorted(pairs.items())]
+
+
 def pair_wins(runs: list[dict], end_to_end: list[dict]) -> dict:
     """``{metric: (pairs won by the change, pairs run)}`` for each
     end-to-end metric, judged in its ``better`` direction.
@@ -116,20 +128,32 @@ def pair_wins(runs: list[dict], end_to_end: list[dict]) -> dict:
     is strictly better than the base's; a tie or a failed run wins
     nothing, but the pair still counts as run.
     """
-    pairs: dict[int, dict[str, dict]] = {}
-    for run in runs:
-        pairs.setdefault(run["pair"], {})[run["side"]] = run
     wins = {}
     for metric in end_to_end:
-        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-        won = 0
-        for sides in pairs.values():
-            values = [sides.get(side, {}).get("metrics", {}).get(name)
-                      for side in ("base", "change")]
-            if None not in values and sign * (values[1] - values[0]) > 0:
-                won += 1
-        wins[name] = (won, len(pairs))
+        sign = 1 if metric["better"] == "higher" else -1
+        pairs = _pair_values(runs, metric["name"])
+        won = sum(1 for base, change in pairs
+                  if None not in (base, change) and sign * (change - base) > 0)
+        wins[metric["name"]] = (won, len(pairs))
     return wins
+
+
+def paired_ratios(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """``{metric: median of change/base over the pairs}`` for each
+    end-to-end metric, or ``None`` where no pair has both values.
+
+    Pairs with a failed run, a missing value or a zero base value are
+    left out. Whether a ratio above 1 is better depends on the metric's
+    ``better`` direction; no verdict is drawn.
+    """
+    ratios = {}
+    for metric in end_to_end:
+        values = [change / base
+                  for base, change in _pair_values(runs, metric["name"])
+                  if None not in (base, change) and base != 0]
+        ratios[metric["name"]] = (statistics.median(values) if values
+                                  else None)
+    return ratios
 
 
 def main(argv=None) -> int:
@@ -193,8 +217,11 @@ def main(argv=None) -> int:
             low, mid, high = statistics.quantiles(values, n=4)
             cells.append(f"{side} {mid:10.5g} [{low:10.5g}, {high:10.5g}]")
         print(f"{name:<18} {'  '.join(cells)} {units[name]}")
+    ratios = paired_ratios(runs, benchmark["end_to_end"])
     for name, (won, run) in pair_wins(runs, benchmark["end_to_end"]).items():
-        print(f"change won {won}/{run} pairs on {name}")
+        ratio = "-" if ratios[name] is None else f"{ratios[name]:.4g}"
+        print(f"change won {won}/{run} pairs on {name}, "
+              f"median paired ratio change/base {ratio}")
     print(f"wrote {out}")
     return 0
 
