@@ -393,10 +393,19 @@ def _frequency_major(blocks: np.ndarray) -> np.ndarray:
     It is the tape's frequency-major spectrum layout and, for time-domain
     blocks, the plane-major layout that the numpy backend transforms as
     one GEMM against its DFT table, keeping the result in that layout.
+    The transform axis must also carry the largest stride, as the
+    backend's plane-major test requires: NumPy calls an array with
+    length-1 axes contiguous whatever their strides, so a one-line block
+    (batch = r² = q = 1) can pass the contiguity flag and still have
+    C-contiguous strides, which would send it to ``numpy.fft`` while the
+    layer's pixel buffer of the same line takes the table.
     """
-    return np.ascontiguousarray(blocks.transpose(3, 1, 2, 0)).transpose(
-        3, 1, 2, 0
-    )
+    plane = blocks.transpose(3, 1, 2, 0)
+    if plane.flags.c_contiguous and blocks.strides[-1] == max(blocks.strides):
+        return blocks
+    out = np.empty(plane.shape, dtype=blocks.dtype)
+    out[...] = plane
+    return out.transpose(3, 1, 2, 0)
 
 
 def _channel_blocks(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,16 +1,31 @@
 """Unstructured 2-D convolution layer (paper Eq. 2 / Eq. 6 baseline).
 
-Implemented as im2col + matrix multiply, the Caffe-style reformulation the
-paper describes in §3.2 (Fig 6), so the block-circulant variant differs
-only in how the ``(P, C·r²)`` filter matrix is represented.
+Implemented as a lowering + matrix multiply, the Caffe-style
+reformulation the paper describes in §3.2 (Fig 6), so the block-circulant
+variant differs only in how the ``(P, C·r²)`` filter matrix is
+represented.
 
-The GEMM runs in Caffe's own layout: patches are extracted once into a
-``(B, C·r², OH·OW)`` buffer (one strided copy per kernel tap, no
-transpose) and each image's output is ``W(P, C·r²) @ cols``, which is
-already ``(P, OH·OW)`` so it reshapes to NCHW without a copy; the bias is
-added in place. Backward reads the same buffer: the weight gradient is one
-batched matmul against it, and the patch gradient ``Wᵀ @ grad`` is
-scattered back from the native ``(B, C, r, r, OH, OW)`` layout.
+The lowering is MEC's (Cho & Brand, 2017): **row patches** along one
+spatial axis only. Each image holds ``C·r`` rows, the padded map's rows
+read with column shift ``j`` and stride ``s`` (``im2col._lower_rows``),
+an r-fold expansion of the input against im2col's r²-fold. For ``s > 1``
+the rows are stored split by row phase, so kernel row ``i`` reads one
+contiguous run of phase ``i mod s``: a 2-D GEMM operand, the row shift
+being an offset into the buffer. Each image's output is
+``W_0 @ R_0 + W_1 @ R_1 + … + bias``, one ``(P, C·r)`` GEMM per kernel
+row, already ``(P, OH·OW)``, i.e. NCHW. Serving lowers and contracts a
+tile of images at a time, sized so the tile's row patches, output and
+GEMM scratch fit in half of a 2 MiB L2 (``_TILE_BYTES``).
+
+Layers whose per-row depth ``C·r`` is below ``_MIN_ROW_DEPTH`` contract
+all ``r`` kernel rows in one group over the whole batch instead: im2col's
+``(C·r², OH·OW)`` patches and Caffe's single ``W @ cols`` GEMM. Both
+cases are the same loop; every GEMM is per image, so an image's output
+bits depend on neither its tile nor its batch. The recording forward
+keeps the lowered buffer as the tape: the weight gradient of each kernel
+row is ``Σ_b grad[b] @ R_i[b]ᵀ``, and the input gradient accumulates
+``W_iᵀ @ grad`` into a lowered gradient scattered back to NCHW
+(``im2col._scatter_rows``).
 """
 
 from __future__ import annotations
@@ -18,9 +33,27 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.im2col import _patch_blocks, _scatter_blocks, conv_output_size
+from repro.nn.im2col import (
+    _lower_rows,
+    _row_shape,
+    _scatter_rows,
+    conv_output_size,
+)
 from repro.nn.initializers import he_normal, zeros
 from repro.nn.module import Module
+
+# Working-set budget of one serving tile (row patches, output and GEMM
+# scratch of its images): half of the 2 MiB per-core L2 of the host this
+# was measured on, so a tile's lowered rows are still cached when its
+# kernel-row GEMMs read them back. mini-AlexNet's conv1 needs 400 KB per
+# image, so 2 images per tile; its whole forward against im2col read 0.90
+# at 1 image per tile, 0.83 at 2, 0.81 at 3, 0.85 at 4 and 0.91 at 15.
+_TILE_BYTES = 1 << 20
+# Below this per-row depth ``C·r`` the layer keeps im2col's single GEMM
+# and its bits: a row GEMM's inner dimension ``C·r`` is too thin for BLAS
+# (at batch 32, 32×32 maps, 16 filters, row patches took 1.6-1.8x
+# im2col's time at ``C·r = 3`` and 1.13-1.18x at 5).
+_MIN_ROW_DEPTH = 8
 
 
 class Conv2D(Module):
@@ -61,7 +94,7 @@ class Conv2D(Module):
         self.bias = (
             self.add_parameter("bias", zeros((out_channels,))) if bias else None
         )
-        self._cols: np.ndarray | None = None
+        self._lowered: np.ndarray | None = None
         self._input_shape: tuple[int, int, int, int] | None = None
 
     @property
@@ -76,26 +109,91 @@ class Conv2D(Module):
             conv_output_size(width, self.field, self.stride, self.padding),
         )
 
+    def _lowering(self, batch: int, out_h: int, out_w: int,
+                  record: bool) -> tuple[int, int]:
+        """``(rows, tile)``: kernel rows per GEMM group and images per
+        tile. Row patches (``rows = 1``) need ``C·r ≥ _MIN_ROW_DEPTH``;
+        only a serving forward of row patches splits the batch."""
+        if self.in_channels * self.field < _MIN_ROW_DEPTH:
+            return self.field, batch
+        if record:
+            return 1, batch
+        phases, length = _row_shape(self.field, self.stride, 1, out_h)
+        patches = self.in_channels * self.field * phases * length * out_w
+        outputs = self.out_channels * out_h * out_w
+        scratch = outputs if self.field > 1 else 0
+        per_image = 8 * (patches + outputs + scratch)
+        return 1, min(batch, max(1, _TILE_BYTES // per_image))
+
+    def _row_weights(self, rows: int) -> np.ndarray:
+        """``(groups, P, C·rows·r)``: group ``m``'s GEMM operand
+        ``W[:, :, rows·m : rows·m + rows, :]``, flattened."""
+        groups = self.field // rows
+        return np.ascontiguousarray(self.weight.value.reshape(
+            self.out_channels, self.in_channels, groups, rows, self.field
+        ).transpose(2, 0, 1, 3, 4)).reshape(groups, self.out_channels, -1)
+
+    def _group_slice(self, group: int, rows: int, out_h: int,
+                     out_w: int) -> tuple:
+        """Index of group ``group``'s ``(C·rows·r, OH·OW)`` operand in a
+        ``(B, C·rows·r, phases, length·OW)`` view of the lowered buffer."""
+        first = rows * group
+        start = first // self.stride * out_w
+        return (slice(None), slice(None), first % self.stride,
+                slice(start, start + out_h * out_w))
+
     def _run_forward(self, x: np.ndarray, record: bool) -> np.ndarray:
-        """Shared forward pipeline; ``record`` caches state for backward."""
+        """Shared forward pipeline; ``record`` keeps the lowered input."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"Conv2D expects (batch, {self.in_channels}, H, W), "
                 f"got {x.shape}"
             )
-        batch = x.shape[0]
-        out_h, out_w = self.output_shape(x.shape[2], x.shape[3])
-        # (B, C, r, r, OH, OW) -> (B, C*r*r, OH*OW): a free reshape.
-        cols = _patch_blocks(
-            x, self.field, self.stride, self.padding
-        ).reshape(batch, -1, out_h * out_w)
+        batch, channels, height, width = x.shape
+        field, stride, pad = self.field, self.stride, self.padding
+        out_h, out_w = self.output_shape(height, width)
+        rows, tile = self._lowering(batch, out_h, out_w, record)
+        phases, length = _row_shape(field, stride, rows, out_h)
+        weights = self._row_weights(rows)
+        depth = weights.shape[2]
+        out = np.empty((batch, self.out_channels, out_h * out_w))
+        lowered = np.empty(
+            (tile, channels, rows, field, phases, length, out_w)
+        )
+        scratch = np.empty((tile, *out.shape[1:]))
+        # Zero borders once; each tile overwrites the interior.
+        padded = np.zeros(
+            (tile, channels, height + 2 * pad, width + 2 * pad)
+        ) if pad else None
+        if self.bias is not None:
+            # Broadcast once: adding a full (P, OH·OW) plane per image is
+            # ~2x faster than a (P, 1) column, with the same sums.
+            bias = np.broadcast_to(
+                self.bias.value[:, np.newaxis], out.shape[1:]
+            ).copy()
+        for start in range(0, batch, tile):
+            images = min(tile, batch - start)
+            source = x[start:start + images]
+            if pad:
+                padded[:images, :, pad:pad + height, pad:pad + width] = source
+                source = padded[:images]
+            low = _lower_rows(source, field, stride, rows, out_h, out_w,
+                              lowered[:images])
+            operand = low.reshape(images, depth, phases, length * out_w)
+            dst = out[start:start + images]
+            for group, weight in enumerate(weights):
+                view = operand[self._group_slice(group, rows, out_h, out_w)]
+                if group == 0:
+                    np.matmul(weight, view, out=dst)
+                else:
+                    np.matmul(weight, view, out=scratch[:images])
+                    dst += scratch[:images]
+            if self.bias is not None:
+                dst += bias
         if record:
             self._input_shape = x.shape
-            self._cols = cols
-        out = self.weight.value.reshape(self.out_channels, -1) @ cols
-        if self.bias is not None:
-            out += self.bias.value[:, np.newaxis]
+            self._lowered = lowered
         return out.reshape(batch, self.out_channels, out_h, out_w)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -106,7 +204,7 @@ class Conv2D(Module):
         return self._run_forward(x, record=False)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._input_shape is None:
+        if self._lowered is None or self._input_shape is None:
             raise RuntimeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
         batch, _, out_h, out_w = grad_output.shape
@@ -116,14 +214,33 @@ class Conv2D(Module):
         )
         if self.bias is not None:
             self.bias.grad += grad_flat.sum(axis=(0, 2))
-        grad_w = np.matmul(grad_flat, self._cols.transpose(0, 2, 1)).sum(0)
-        self.weight.grad += grad_w.reshape(self.weight.value.shape)
-        w_mat = self.weight.value.reshape(self.out_channels, -1)
-        grad_cols = (w_mat.T @ grad_flat).reshape(
-            batch, self.in_channels, self.field, self.field, out_h, out_w
-        )
-        return _scatter_blocks(
-            grad_cols, self._input_shape, self.field, self.stride, self.padding
+        lowered = self._lowered
+        rows = lowered.shape[2]
+        weights = self._row_weights(rows)
+        operand = lowered.reshape(batch, weights.shape[2], lowered.shape[4],
+                                  -1)
+        # One group's slice is the whole buffer; row groups overlap and
+        # accumulate, and rows no kernel row reads stay zero.
+        single = len(weights) == 1
+        grad_lowered = (np.empty if single else np.zeros)(lowered.shape)
+        grad_operand = grad_lowered.reshape(operand.shape)
+        grad_w = np.empty(weights.shape)
+        for group, weight in enumerate(weights):
+            index = self._group_slice(group, rows, out_h, out_w)
+            grad_w[group] = np.matmul(
+                grad_flat, operand[index].transpose(0, 2, 1)
+            ).sum(0)
+            if single:
+                np.matmul(weight.T, grad_flat, out=grad_operand[index])
+            else:
+                grad_operand[index] += weight.T @ grad_flat
+        self.weight.grad += grad_w.reshape(
+            len(weights), self.out_channels, self.in_channels, rows,
+            self.field,
+        ).transpose(1, 2, 0, 3, 4).reshape(self.weight.value.shape)
+        return _scatter_rows(
+            grad_lowered, self._input_shape, self.field, self.stride,
+            self.padding, rows,
         )
 
     def __repr__(self) -> str:

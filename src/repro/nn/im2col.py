@@ -7,10 +7,24 @@ its adjoint for NCHW tensors.
 
 Public :func:`im2col` returns patches *structured* as
 ``(batch, positions, C, r, r)``, the patch-per-row layout the paper draws
-and the block-circulant reference code groups into circulant blocks. The
-patches are built in their native ``(B, C, r, r, OH, OW)`` layout (one
-strided copy per kernel tap); plain CONV and its backward use that buffer
-directly through the private helpers, skipping the transpose copy.
+and the block-circulant reference code groups into circulant blocks;
+:func:`col2im` is its adjoint.
+
+The private helpers lower without that transpose. :func:`_lower_rows`
+copies a padded map into ``(B, C, rows, r, phases, length, OW)``, one
+strided copy per lowered row (:func:`_row_windows` yields the views):
+
+- ``rows = r`` is im2col's native ``(B, C, r, r, OH, OW)`` patch buffer,
+  which :func:`im2col` transposes and ``Conv2D`` uses below its depth
+  floor as the ``(C·r², OH·OW)`` operand of one GEMM;
+- ``rows = 1`` is the row-patch lowering ``Conv2D`` contracts one kernel
+  row at a time: ``C·r`` rows of the padded map per image, split by row
+  phase for strides above 1.
+
+:func:`_scatter_rows` is the adjoint of :func:`_lower_rows`, and
+:func:`_scatter_blocks` of the native patch buffer (``col2im``, pooling
+and ``BlockCirculantConv2D`` backward). Pooling reads the tap views of
+:func:`_windows`.
 """
 
 from __future__ import annotations
@@ -31,53 +45,87 @@ def conv_output_size(size: int, field: int, stride: int, padding: int) -> int:
     return out
 
 
+def _row_shape(field: int, stride: int, rows: int,
+               out_h: int) -> tuple[int, int]:
+    """``(phases, length)`` of a lowering that groups ``rows`` kernel rows
+    (``rows`` is 1 or ``field``): the row phases it stores and the rows
+    of each phase. Group ``m`` starts at kernel row ``i = rows·m`` and
+    reads phase ``i mod s`` from row ``i // s`` on, ``out_h`` rows."""
+    return min(stride, field // rows), out_h + (field - rows) // stride
+
+
+def _row_windows(x: np.ndarray, field: int, stride: int, rows: int,
+                 out_h: int, out_w: int):
+    """Yield ``(a, j, phase, view)``: the ``(…, ≤ length, out_w)``
+    strided view ``x[…, s·t + phase + a, s·x + j]`` of a padded NCHW
+    ``x`` that lowered row ``(a, j, phase)`` holds (see
+    :func:`_row_shape`). With ``rows = field`` there is one phase and
+    ``(a, j)`` is kernel tap ``(i, j)`` read at every output position."""
+    phases, length = _row_shape(field, stride, rows, out_h)
+    for a in range(rows):
+        for j in range(field):
+            cols = slice(j, j + stride * out_w, stride)
+            for phase in range(phases):
+                yield a, j, phase, x[..., phase + a::stride, cols][
+                    ..., :length, :]
+
+
 def _windows(x: np.ndarray, field: int, stride: int, out_h: int,
              out_w: int):
     """Yield ``(i, j, view)``: the ``(…, out_h, out_w)`` strided view of
     ``x`` read by kernel tap ``(i, j)`` at every output position."""
-    for i in range(field):
-        i_end = i + stride * out_h
-        for j in range(field):
-            yield i, j, x[..., i:i_end:stride, j:j + stride * out_w:stride]
+    for i, j, _, view in _row_windows(x, field, stride, field, out_h, out_w):
+        yield i, j, view
 
 
-def _patch_blocks(x: np.ndarray, field: int, stride: int,
-                  padding: int) -> np.ndarray:
-    """Patches of an NCHW tensor in their native ``(B, C, r, r, OH, OW)``
-    layout: one strided copy per kernel tap, no transpose. Reshaped to
-    ``(B, C·r², OH·OW)`` it is the right-hand operand of Caffe's
-    ``W @ cols`` convolution GEMM."""
-    batch, channels, height, width = x.shape
+def _lower_rows(x: np.ndarray, field: int, stride: int, rows: int,
+                out_h: int, out_w: int, out: np.ndarray) -> np.ndarray:
+    """Lower a padded NCHW ``x`` into ``out``, shaped
+    ``(B, C, rows, r, phases, length, out_w)``:
+    ``out[b, c, a, j, φ, t, x'] = x[b, c, s·t + φ + a, s·x' + j]``, one
+    strided copy per lowered row. Entries below the bottom of ``x`` are
+    left as they were; no kernel row reads them.
+
+    ``rows = field`` is im2col's native ``(B, C, r, r, 1, OH, OW)`` patch
+    buffer. ``rows = 1`` is the row-patch lowering: ``C·r`` rows per
+    image, each the padded map's rows with column shift ``j``, split by
+    row phase, so kernel row ``i`` reads the contiguous slice
+    ``[i // s · OW, (i // s + OH) · OW)`` of phase ``i mod s``.
+    """
+    for a, j, phase, view in _row_windows(x, field, stride, rows, out_h,
+                                          out_w):
+        out[:, :, a, j, phase, :view.shape[-2]] = view
+    return out
+
+
+def _scatter_rows(grads: np.ndarray,
+                  input_shape: tuple[int, int, int, int], field: int,
+                  stride: int, padding: int, rows: int) -> np.ndarray:
+    """Adjoint of :func:`_lower_rows`: scatter-add a lowered gradient
+    (any strides, broadcast views included) back to NCHW."""
+    batch, channels, height, width = input_shape
     out_h = conv_output_size(height, field, stride, padding)
-    out_w = conv_output_size(width, field, stride, padding)
-    if padding > 0:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding))
-        )
-    blocks = np.empty(
-        (batch, channels, field, field, out_h, out_w), dtype=np.float64
+    out_w = grads.shape[-1]
+    padded = np.zeros(
+        (batch, channels, height + 2 * padding, width + 2 * padding),
+        dtype=np.float64,
     )
-    for i, j, view in _windows(x, field, stride, out_h, out_w):
-        blocks[:, :, i, j] = view
-    return blocks
+    for a, j, phase, view in _row_windows(padded, field, stride, rows,
+                                          out_h, out_w):
+        view += grads[:, :, a, j, phase, :view.shape[-2]]
+    if padding > 0:
+        return padded[:, :, padding:-padding, padding:-padding]
+    return padded
 
 
 def _scatter_blocks(blocks: np.ndarray,
                     input_shape: tuple[int, int, int, int], field: int,
                     stride: int, padding: int) -> np.ndarray:
-    """Adjoint of :func:`_patch_blocks`: scatter-add ``(B, C, r, r, OH, OW)``
-    blocks (any strides, broadcast views included) back to NCHW."""
-    batch, channels, height, width = input_shape
-    out_h, out_w = blocks.shape[-2:]
-    padded = np.zeros(
-        (batch, channels, height + 2 * padding, width + 2 * padding),
-        dtype=np.float64,
-    )
-    for i, j, view in _windows(padded, field, stride, out_h, out_w):
-        view += blocks[:, :, i, j]
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+    """Adjoint of im2col's native patches: scatter-add
+    ``(B, C, r, r, OH, OW)`` blocks (any strides, broadcast views
+    included) back to NCHW."""
+    return _scatter_rows(blocks[:, :, :, :, np.newaxis], input_shape, field,
+                         stride, padding, field)
 
 
 def im2col(x: np.ndarray, field: int, stride: int = 1,
@@ -100,10 +148,17 @@ def im2col(x: np.ndarray, field: int, stride: int = 1,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise ShapeError(f"expected NCHW input, got shape {x.shape}")
-    blocks = _patch_blocks(x, field, stride, padding)
-    batch, channels, _, _, out_h, out_w = blocks.shape
-    # (B, C, r, r, OH, OW) -> (B, OH*OW, C, r, r)
-    return blocks.transpose(0, 4, 5, 1, 2, 3).reshape(
+    batch, channels, height, width = x.shape
+    out_h = conv_output_size(height, field, stride, padding)
+    out_w = conv_output_size(width, field, stride, padding)
+    if padding > 0:
+        x = np.pad(
+            x, ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        )
+    blocks = np.empty((batch, channels, field, field, 1, out_h, out_w))
+    _lower_rows(x, field, stride, field, out_h, out_w, blocks)
+    # (B, C, r, r, 1, OH, OW) -> (B, OH*OW, C, r, r)
+    return blocks.transpose(0, 4, 5, 6, 1, 2, 3).reshape(
         batch, out_h * out_w, channels, field, field
     )
 

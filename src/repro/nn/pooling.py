@@ -7,10 +7,13 @@ comparators (O(n) work), which the architecture simulator accounts for.
 
 Both reduce over strided views, never over copied patches: kernel tap
 ``(i, j)`` reads ``x[:, :, i::s, j::s]`` (cut to the output size) at every
-output position at once, and the ``r²`` views are folded into one
-accumulator with ``np.maximum`` / ``np.add`` in row-major tap order. The
-sum starts from ``+0.0``, as ``np.add.reduce`` does; the average divides it
-by ``r²``. ``forward`` and ``inference_forward`` share that value path;
+output position at once. Average pooling folds the ``r²`` views into one
+accumulator with ``np.add`` in row-major tap order; the sum starts from
+``+0.0``, as ``np.add.reduce`` does, and is divided by ``r²``. Max pooling
+is separable: ``np.maximum`` folds the ``r`` column taps ``x[:, :, :,
+j::s]`` of every input row, then the ``r`` row taps of those maxima, 2r
+passes instead of r², with the same bits as the row-major ``r²`` fold.
+``forward`` and ``inference_forward`` share that value path;
 the recording ``MaxPool2D.forward`` additionally keeps each output's
 argmax tap (the first tap holding the maximum, or the first NaN), and
 backward scatters through the same views.
@@ -23,6 +26,18 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.nn.im2col import _scatter_blocks, _windows, conv_output_size
 from repro.nn.module import Module
+
+
+def _max_fold(taps: list[np.ndarray]) -> np.ndarray:
+    """Elementwise maximum of same-shaped ``taps``, folded in order: on a
+    tie (``±0.0`` included) the earlier tap wins, and the first NaN
+    propagates."""
+    if len(taps) == 1:
+        return taps[0].copy()
+    out = np.maximum(taps[0], taps[1])
+    for tap in taps[2:]:
+        np.maximum(out, tap, out=out)
+    return out
 
 
 class _Pool2D(Module):
@@ -75,9 +90,21 @@ class MaxPool2D(_Pool2D):
 
     def _reduce(self, x: np.ndarray, record: bool) -> np.ndarray:
         x, views = self._views(x)
-        out = views[0].copy()
-        for view in views[1:]:
-            np.maximum(out, view, out=out)
+        # Separable: fold the r column taps of every input row, then the
+        # r row taps of those maxima, 2r passes instead of r². Both keep
+        # the first maximum (or first NaN) in row-major tap order, so the
+        # bits equal the r²-tap fold's.
+        field, stride = self.field, self.stride
+        out_h, out_w = views[0].shape[-2:]
+        span = slice(0, stride * (out_h - 1) + field)
+        columns = _max_fold(
+            [x[:, :, span, j:j + stride * out_w:stride]
+             for j in range(field)]
+        )
+        out = _max_fold(
+            [columns[:, :, i:i + stride * out_h:stride]
+             for i in range(field)]
+        )
         if record:
             # np.argmax's rule: the first tap equal to the maximum, or the
             # first NaN tap; walking backwards lets the earliest hit win.

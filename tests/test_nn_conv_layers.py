@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ShapeError
 from repro.nn import BlockCirculantConv2D, Conv2D
+import repro.nn.conv as conv_module
 from repro.nn.im2col import col2im, conv_output_size, im2col
 from tests.conftest import (
     assert_layer_gradients,
@@ -145,6 +146,17 @@ class TestBlockCirculantConv2D:
                 rng.normal(size=(1, 2, 3, 3))
             )
 
+    def test_one_line_patch_blocks_match_the_im2col_route(self, rng):
+        # Batch 1 on a 1x1 output with one 8-channel block is a single
+        # transform line; NumPy leaves the strides of its length-1 axes
+        # arbitrary, and the im2col route must still transform it the way
+        # the layer does (DFT table, not numpy.fft).
+        layer = BlockCirculantConv2D(6, 7, 1, 8, seed=0)
+        x = rng.normal(size=(1, 6, 1, 1))
+        np.testing.assert_array_equal(
+            layer.inference_forward(x), conv_oracle_forward(layer, x)[0]
+        )
+
     def test_radix2_backend_parity(self, rng):
         a = BlockCirculantConv2D(4, 4, 3, 4, padding=1, seed=7, backend="numpy")
         b = BlockCirculantConv2D(4, 4, 3, 4, padding=1, seed=7, backend="radix2")
@@ -229,13 +241,13 @@ def test_plane_major_forward_stays_near_pocketfft_im2col(case):
 @st.composite
 def dense_conv_cases(draw):
     """``(layer, input)`` for plain ``Conv2D`` over random geometry:
-    C 1–6, P 1–8, r 1–5, stride 1–3, padding 0..r−1, odd and non-square
-    maps, batch 1–3."""
+    C 1–8, P 1–8, r 1–5, stride 1–3, padding 0..r−1, odd and non-square
+    maps, batch 1–9: both sides of the row-patch depth floor."""
     field = draw(st.integers(1, 5))
     padding = draw(st.integers(0, field - 1))
     smallest = max(1, field - 2 * padding)
     layer = Conv2D(
-        draw(st.integers(1, 6)), draw(st.integers(1, 8)), field,
+        draw(st.integers(1, 8)), draw(st.integers(1, 8)), field,
         stride=draw(st.integers(1, 3)), padding=padding,
         seed=draw(st.integers(0, 2**16)),
     )
@@ -243,7 +255,7 @@ def dense_conv_cases(draw):
         size=layer.out_channels
     )
     shape = (
-        draw(st.integers(1, 3)), layer.in_channels,
+        draw(st.integers(1, 9)), layer.in_channels,
         draw(st.integers(smallest, smallest + 8)),
         draw(st.integers(smallest, smallest + 8)),
     )
@@ -254,8 +266,9 @@ def dense_conv_cases(draw):
 @given(dense_conv_cases())
 def test_conv2d_gemm_layout_matches_im2col_product(case):
     # Recording and serving share one value path, so their bits agree;
-    # the Caffe-layout GEMM W @ cols sums the same products as the
-    # patch-per-row product cols @ Wᵀ, in BLAS's own order.
+    # the per-image GEMMs (one per kernel row on row patches, one W @ cols
+    # on thin layers) sum the same products as the patch-per-row product
+    # cols @ Wᵀ, in BLAS's own order.
     layer, x = case
     served = layer.inference_forward(x)
     np.testing.assert_array_equal(
@@ -271,3 +284,121 @@ def test_conv2d_gemm_layout_matches_im2col_product(case):
     np.testing.assert_allclose(
         served, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max()
     )
+
+
+def _caffe_product(layer, x):
+    """``W @ cols + b`` on im2col's contiguous ``(B, C·r², OH·OW)``
+    patches, one GEMM per image: the lowering every ``Conv2D`` ran before
+    row patches, and the one it keeps below the depth floor."""
+    batch = x.shape[0]
+    out_h, out_w = layer.output_shape(x.shape[2], x.shape[3])
+    cols = np.ascontiguousarray(
+        im2col(x, layer.field, layer.stride, layer.padding)
+        .transpose(0, 2, 3, 4, 1)
+    ).reshape(batch, -1, out_h * out_w)
+    out = layer.weight.value.reshape(layer.out_channels, -1) @ cols
+    out += layer.bias.value[:, np.newaxis]
+    return out.reshape(batch, layer.out_channels, out_h, out_w)
+
+
+def _is_thin(layer):
+    return layer.in_channels * layer.field < conv_module._MIN_ROW_DEPTH
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_conv_cases())
+def test_conv2d_row_patches_stay_near_im2col(case):
+    # Row patches sum each output over kernel rows, one GEMM per row, so
+    # the last bits move: within 1e-13 of max-abs of the im2col product.
+    # Below the depth floor the layer runs that product itself, bit for
+    # bit.
+    layer, x = case
+    served = layer.inference_forward(x)
+    reference = _caffe_product(layer, x)
+    if _is_thin(layer):
+        np.testing.assert_array_equal(
+            served.view(np.uint64), reference.view(np.uint64)
+        )
+    else:
+        scale = np.abs(reference).max()
+        assert np.abs(served - reference).max() <= 1e-13 * scale
+
+
+@st.composite
+def tiled_conv_cases(draw):
+    """``(layer, input)`` with ``C·r ≥ 8`` whose batch spans at least two
+    serving tiles: 16 filters on 24–32 pixel maps (~170–300 KB an
+    image), r 2–5, stride 1–3."""
+    field = draw(st.integers(2, 5))
+    channels = draw(st.integers(-(-8 // field), 6))
+    padding = draw(st.integers(0, field - 1))
+    layer = Conv2D(
+        channels, 16, field, stride=draw(st.integers(1, 3)),
+        padding=padding, seed=draw(st.integers(0, 2**16)),
+    )
+    layer.bias.value = np.random.default_rng(field).normal(size=16)
+    height = draw(st.integers(24, 32))
+    width = draw(st.integers(24, 32))
+    out_h, out_w = layer.output_shape(height, width)
+    # Images per serving tile, before the tile is capped at the batch.
+    _, tile = layer._lowering(10**6, out_h, out_w, record=False)
+    batch = draw(st.integers(tile + 1, 2 * tile + 2))
+    shape = (batch, channels, height, width)
+    return layer, np.random.default_rng(shape).normal(size=shape)
+
+
+@settings(max_examples=25, deadline=None)
+@given(tiled_conv_cases())
+def test_conv2d_image_bits_do_not_depend_on_tile_or_batch(case):
+    # Every GEMM is per image, so an image's output is the same bits
+    # alone, in any tile of a served batch, and in the recording forward
+    # (one tile of the whole batch).
+    layer, x = case
+    batch = x.shape[0]
+    out_h, out_w = layer.output_shape(x.shape[2], x.shape[3])
+    rows, tile = layer._lowering(batch, out_h, out_w, record=False)
+    assert rows == 1 and tile < batch
+    served = layer.inference_forward(x)
+    for b in range(batch):
+        alone = layer.inference_forward(x[b:b + 1])[0]
+        np.testing.assert_array_equal(
+            served[b].view(np.uint64), alone.view(np.uint64)
+        )
+    np.testing.assert_array_equal(
+        layer.forward(x).view(np.uint64), served.view(np.uint64)
+    )
+
+
+class TestConv2DRowPatchTape:
+    @pytest.mark.parametrize("stride,padding", [
+        (1, 0), (1, 2), (2, 0), (2, 1), (3, 0), (3, 2),
+    ])
+    def test_gradients(self, rng, stride, padding):
+        # C·r = 9: the tape is the row-patch buffer, split by row phase
+        # when stride > 1.
+        layer = Conv2D(3, 2, 3, stride=stride, padding=padding, seed=3)
+        assert not _is_thin(layer)
+        assert_layer_gradients(layer, rng.normal(size=(2, 3, 8, 7)), rng)
+
+    def test_tape_is_the_r_fold_row_patch_buffer(self, rng):
+        # mini-AlexNet's conv1 (3 -> 16, 5x5, pad 2) on 32x32 maps: each
+        # image keeps C·r = 15 rows of Hp·OW = 36·32 values, 4.4x less
+        # than im2col's C·r² = 75 rows of OH·OW = 32·32.
+        layer = Conv2D(3, 16, 5, padding=2, seed=0)
+        batch = 4
+        layer.forward(rng.normal(size=(batch, 3, 32, 32)))
+        assert layer._lowered.nbytes == batch * 3 * 5 * 36 * 32 * 8
+
+    def test_stride_splits_rows_by_phase(self, rng):
+        # Stride 2, r = 5: rows s·t + φ, phases 0 and 1, OH + 2 rows each.
+        layer = Conv2D(2, 4, 5, stride=2, seed=0)
+        x = rng.normal(size=(1, 2, 15, 13))
+        layer.forward(x)
+        tape = layer._lowered
+        assert tape.shape == (1, 2, 1, 5, 2, 8, 5)
+        for j in range(5):
+            for phase in range(2):
+                rows = x[0, :, phase::2, j:j + 9:2]
+                np.testing.assert_array_equal(
+                    tape[0, :, 0, j, phase, :rows.shape[1]], rows
+                )

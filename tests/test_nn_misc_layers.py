@@ -148,6 +148,31 @@ def pool_cases(draw):
     return field, stride, x
 
 
+def _tap_fold_max(x, field, stride):
+    """Max pooling as the row-major fold of the ``r²`` tap views."""
+    out_h = (x.shape[2] - field) // stride + 1
+    out_w = (x.shape[3] - field) // stride + 1
+    views = [x[:, :, i:i + stride * out_h:stride, j:j + stride * out_w:stride]
+             for i in range(field) for j in range(field)]
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(out, view, out=out)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(pool_cases())
+def test_separable_max_pool_keeps_the_tap_fold_bits(case):
+    # Columns first, then rows, still keeps the first maximum in
+    # row-major tap order: which zero wins a ±0.0 tie and which NaN
+    # propagates match the r²-tap fold bit for bit.
+    field, stride, x = case
+    expected = _tap_fold_max(x, field, stride)
+    layer = MaxPool2D(field, stride)
+    _assert_bits(layer.inference_forward(x), expected)
+    _assert_bits(layer.forward(x), expected)
+
+
 @settings(max_examples=80, deadline=None)
 @given(pool_cases())
 def test_pooling_and_relu_share_one_value_path(case):

@@ -24,8 +24,9 @@ prints each side's per-metric median and quartiles, and for each of
 ``BENCHMARK.json``'s ``end_to_end`` metrics how many pairs the working tree
 won in that metric's ``better`` direction (ties and failed runs win
 nothing; a gain needs at least 9 of 10) and the median over the pairs of
-the change/base ratio. It draws no verdict and knows no bound: those
-belong to ``perfbench`` and ``BENCHMARK.json``.
+the change/base ratio, and the verdict of :func:`verdicts` against the
+metric's ``BENCHMARK.json`` bound: better, worse, within bound or
+unresolved.
 
 Standard library only.
 """
@@ -156,6 +157,57 @@ def paired_ratios(runs: list[dict], end_to_end: list[dict]) -> dict:
     return ratios
 
 
+def _side_values(runs: list[dict], name: str, side: str) -> list:
+    """Values of metric ``name`` over the successful runs of ``side``."""
+    return [run["metrics"][name] for run in runs
+            if run["side"] == side and run["returncode"] == 0
+            and name in run["metrics"]]
+
+
+def verdicts(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """``{metric: verdict}`` for each end-to-end metric: ``"better"``,
+    ``"worse"``, ``"within bound"`` or ``"unresolved"``.
+
+    The rule, with ``gap`` the change's median minus the base's, signed
+    so that positive is the metric's ``better`` direction, and ``IQR``
+    the distance between the base runs' quartiles:
+
+    - **better**: the change won at least 9/10 of the pairs run
+      (:func:`pair_wins`) and ``gap > IQR``;
+    - **unresolved**: fewer than two successful runs on a side, or the
+      base's IQR is wider than the metric's relative ``bound`` times
+      the base median, unless every change run beats every base run;
+    - **worse**: ``-gap`` exceeds ``bound`` times the base median;
+    - **within bound**: otherwise.
+    """
+    wins = pair_wins(runs, end_to_end)
+    result = {}
+    for metric in end_to_end:
+        name, sign = metric["name"], (1 if metric["better"] == "higher"
+                                      else -1)
+        base = _side_values(runs, name, "base")
+        change = _side_values(runs, name, "change")
+        if len(base) < 2 or len(change) < 2:
+            result[name] = "unresolved"
+            continue
+        low, _, high = statistics.quantiles(base, n=4)
+        mid = statistics.median(base)
+        gap = sign * (statistics.median(change) - mid)
+        limit = metric["bound"] * abs(mid)
+        won, run = wins[name]
+        if 10 * won >= 9 * run and gap > high - low:
+            result[name] = "better"
+        elif (high - low > limit
+              and min(sign * v for v in change) <= max(sign * v
+                                                       for v in base)):
+            result[name] = "unresolved"
+        elif -gap > limit:
+            result[name] = "worse"
+        else:
+            result[name] = "within bound"
+    return result
+
+
 def main(argv=None) -> int:
     args = _parse(argv)
     # The benchmark's declared command, run length and measured code.
@@ -209,8 +261,7 @@ def main(argv=None) -> int:
     for name in sorted(units):
         cells = []
         for side in ("base", "change"):
-            values = [run["metrics"][name] for run in runs
-                      if run["side"] == side and run["returncode"] == 0]
+            values = _side_values(runs, name, side)
             if len(values) < 2:
                 cells.append(f"{side} {'-':>36}")
                 continue
@@ -218,10 +269,11 @@ def main(argv=None) -> int:
             cells.append(f"{side} {mid:10.5g} [{low:10.5g}, {high:10.5g}]")
         print(f"{name:<18} {'  '.join(cells)} {units[name]}")
     ratios = paired_ratios(runs, benchmark["end_to_end"])
+    verdict = verdicts(runs, benchmark["end_to_end"])
     for name, (won, run) in pair_wins(runs, benchmark["end_to_end"]).items():
         ratio = "-" if ratios[name] is None else f"{ratios[name]:.4g}"
         print(f"change won {won}/{run} pairs on {name}, "
-              f"median paired ratio change/base {ratio}")
+              f"median paired ratio change/base {ratio}: {verdict[name]}")
     print(f"wrote {out}")
     return 0
 
