@@ -17,15 +17,13 @@ row, already ``(P, OH·OW)``, i.e. NCHW. Serving lowers and contracts a
 tile of images at a time, sized so the tile's row patches, output and
 GEMM scratch fit in half of a 2 MiB L2 (``_TILE_BYTES``).
 
-Layers whose per-row depth ``C·r`` is below ``_MIN_ROW_DEPTH`` contract
-all ``r`` kernel rows in one group over the whole batch instead: im2col's
-``(C·r², OH·OW)`` patches and Caffe's single ``W @ cols`` GEMM. Both
-cases are the same loop; every GEMM is per image, so an image's output
-bits depend on neither its tile nor its batch. The recording forward
-keeps the lowered buffer as the tape: the weight gradient of each kernel
-row is ``Σ_b grad[b] @ R_i[b]ᵀ``, and the input gradient accumulates
-``W_iᵀ @ grad`` into a lowered gradient scattered back to NCHW
-(``im2col._scatter_rows``).
+Every layer lowers this way, the single-channel ones included. Every
+GEMM is per image, so an image's output bits depend on neither its tile
+nor its batch. The recording forward runs the same tiles but lowers
+them into one buffer for the whole batch, its tape: the weight gradient
+of kernel row ``i`` is ``Σ_b grad[b] @ R_i[b]ᵀ``, and the input gradient
+accumulates ``W_iᵀ @ grad`` into a row-patch gradient scattered back to
+NCHW (``im2col._scatter_rows``).
 """
 
 from __future__ import annotations
@@ -49,11 +47,6 @@ from repro.nn.module import Module
 # image, so 2 images per tile; its whole forward against im2col read 0.90
 # at 1 image per tile, 0.83 at 2, 0.81 at 3, 0.85 at 4 and 0.91 at 15.
 _TILE_BYTES = 1 << 20
-# Below this per-row depth ``C·r`` the layer keeps im2col's single GEMM
-# and its bits: a row GEMM's inner dimension ``C·r`` is too thin for BLAS
-# (at batch 32, 32×32 maps, 16 filters, row patches took 1.6-1.8x
-# im2col's time at ``C·r = 3`` and 1.13-1.18x at 5).
-_MIN_ROW_DEPTH = 8
 
 
 class Conv2D(Module):
@@ -109,41 +102,31 @@ class Conv2D(Module):
             conv_output_size(width, self.field, self.stride, self.padding),
         )
 
-    def _lowering(self, batch: int, out_h: int, out_w: int,
-                  record: bool) -> tuple[int, int]:
-        """``(rows, tile)``: kernel rows per GEMM group and images per
-        tile. Row patches (``rows = 1``) need ``C·r ≥ _MIN_ROW_DEPTH``;
-        only a serving forward of row patches splits the batch."""
-        if self.in_channels * self.field < _MIN_ROW_DEPTH:
-            return self.field, batch
-        if record:
-            return 1, batch
+    def _tile(self, batch: int, out_h: int, out_w: int) -> int:
+        """Images per tile: as many as fit ``_TILE_BYTES``."""
         phases, length = _row_shape(self.field, self.stride, 1, out_h)
         patches = self.in_channels * self.field * phases * length * out_w
         outputs = self.out_channels * out_h * out_w
         scratch = outputs if self.field > 1 else 0
         per_image = 8 * (patches + outputs + scratch)
-        return 1, min(batch, max(1, _TILE_BYTES // per_image))
+        return min(batch, max(1, _TILE_BYTES // per_image))
 
-    def _row_weights(self, rows: int) -> np.ndarray:
-        """``(groups, P, C·rows·r)``: group ``m``'s GEMM operand
-        ``W[:, :, rows·m : rows·m + rows, :]``, flattened."""
-        groups = self.field // rows
-        return np.ascontiguousarray(self.weight.value.reshape(
-            self.out_channels, self.in_channels, groups, rows, self.field
-        ).transpose(2, 0, 1, 3, 4)).reshape(groups, self.out_channels, -1)
+    def _row_weights(self) -> np.ndarray:
+        """``(r, P, C·r)``: kernel row ``i``'s GEMM operand
+        ``W[:, :, i, :]``, flattened."""
+        return np.ascontiguousarray(
+            self.weight.value.transpose(2, 0, 1, 3)
+        ).reshape(self.field, self.out_channels, -1)
 
-    def _group_slice(self, group: int, rows: int, out_h: int,
-                     out_w: int) -> tuple:
-        """Index of group ``group``'s ``(C·rows·r, OH·OW)`` operand in a
-        ``(B, C·rows·r, phases, length·OW)`` view of the lowered buffer."""
-        first = rows * group
-        start = first // self.stride * out_w
-        return (slice(None), slice(None), first % self.stride,
+    def _row_slice(self, row: int, out_h: int, out_w: int) -> tuple:
+        """Index of kernel row ``row``'s ``(C·r, OH·OW)`` operand in a
+        ``(B, C·r, phases, length·OW)`` view of the row patches."""
+        start = row // self.stride * out_w
+        return (slice(None), slice(None), row % self.stride,
                 slice(start, start + out_h * out_w))
 
     def _run_forward(self, x: np.ndarray, record: bool) -> np.ndarray:
-        """Shared forward pipeline; ``record`` keeps the lowered input."""
+        """Shared forward pipeline; ``record`` keeps the row patches."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(
@@ -153,14 +136,13 @@ class Conv2D(Module):
         batch, channels, height, width = x.shape
         field, stride, pad = self.field, self.stride, self.padding
         out_h, out_w = self.output_shape(height, width)
-        rows, tile = self._lowering(batch, out_h, out_w, record)
-        phases, length = _row_shape(field, stride, rows, out_h)
-        weights = self._row_weights(rows)
-        depth = weights.shape[2]
+        tile = self._tile(batch, out_h, out_w)
+        phases, length = _row_shape(field, stride, 1, out_h)
+        weights = self._row_weights()
         out = np.empty((batch, self.out_channels, out_h * out_w))
-        lowered = np.empty(
-            (tile, channels, rows, field, phases, length, out_w)
-        )
+        # Recording keeps every tile's row patches as the tape.
+        lowered = np.empty((batch if record else tile, channels, 1, field,
+                            phases, length, out_w))
         scratch = np.empty((tile, *out.shape[1:]))
         # Zero borders once; each tile overwrites the interior.
         padded = np.zeros(
@@ -178,13 +160,14 @@ class Conv2D(Module):
             if pad:
                 padded[:images, :, pad:pad + height, pad:pad + width] = source
                 source = padded[:images]
-            low = _lower_rows(source, field, stride, rows, out_h, out_w,
-                              lowered[:images])
-            operand = low.reshape(images, depth, phases, length * out_w)
+            low = _lower_rows(source, field, stride, 1, out_h, out_w,
+                              lowered[start:start + images] if record
+                              else lowered[:images])
+            operand = low.reshape(images, -1, phases, length * out_w)
             dst = out[start:start + images]
-            for group, weight in enumerate(weights):
-                view = operand[self._group_slice(group, rows, out_h, out_w)]
-                if group == 0:
+            for row, weight in enumerate(weights):
+                view = operand[self._row_slice(row, out_h, out_w)]
+                if row == 0:
                     np.matmul(weight, view, out=dst)
                 else:
                     np.matmul(weight, view, out=scratch[:images])
@@ -215,32 +198,33 @@ class Conv2D(Module):
         if self.bias is not None:
             self.bias.grad += grad_flat.sum(axis=(0, 2))
         lowered = self._lowered
-        rows = lowered.shape[2]
-        weights = self._row_weights(rows)
-        operand = lowered.reshape(batch, weights.shape[2], lowered.shape[4],
-                                  -1)
-        # One group's slice is the whole buffer; row groups overlap and
-        # accumulate, and rows no kernel row reads stay zero.
-        single = len(weights) == 1
-        grad_lowered = (np.empty if single else np.zeros)(lowered.shape)
+        weights = self._row_weights()
+        operand = lowered.reshape(batch, -1, lowered.shape[4],
+                                  lowered.shape[5] * out_w)
+        # The first kernel row of each phase (i < s) writes its GEMM in
+        # place; later rows add theirs through one reused buffer, and the
+        # rows only they reach start at zero.
+        grad_lowered = np.empty(lowered.shape)
         grad_operand = grad_lowered.reshape(operand.shape)
+        grad_operand[..., out_h * out_w:] = 0.0
+        scratch = np.empty((batch, operand.shape[1], out_h * out_w))
         grad_w = np.empty(weights.shape)
-        for group, weight in enumerate(weights):
-            index = self._group_slice(group, rows, out_h, out_w)
-            grad_w[group] = np.matmul(
+        for row, weight in enumerate(weights):
+            index = self._row_slice(row, out_h, out_w)
+            grad_w[row] = np.matmul(
                 grad_flat, operand[index].transpose(0, 2, 1)
             ).sum(0)
-            if single:
+            if row < self.stride:
                 np.matmul(weight.T, grad_flat, out=grad_operand[index])
             else:
-                grad_operand[index] += weight.T @ grad_flat
+                np.matmul(weight.T, grad_flat, out=scratch)
+                grad_operand[index] += scratch
         self.weight.grad += grad_w.reshape(
-            len(weights), self.out_channels, self.in_channels, rows,
-            self.field,
-        ).transpose(1, 2, 0, 3, 4).reshape(self.weight.value.shape)
+            self.field, self.out_channels, self.in_channels, self.field
+        ).transpose(1, 2, 0, 3)
         return _scatter_rows(
             grad_lowered, self._input_shape, self.field, self.stride,
-            self.padding, rows,
+            self.padding, 1,
         )
 
     def __repr__(self) -> str:

@@ -15,8 +15,7 @@ copies a padded map into ``(B, C, rows, r, phases, length, OW)``, one
 strided copy per lowered row (:func:`_row_windows` yields the views):
 
 - ``rows = r`` is im2col's native ``(B, C, r, r, OH, OW)`` patch buffer,
-  which :func:`im2col` transposes and ``Conv2D`` uses below its depth
-  floor as the ``(C·r², OH·OW)`` operand of one GEMM;
+  which :func:`im2col` transposes;
 - ``rows = 1`` is the row-patch lowering ``Conv2D`` contracts one kernel
   row at a time: ``C·r`` rows of the padded map per image, split by row
   phase for strides above 1.

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.errors import ShapeError
 from repro.nn import BlockCirculantConv2D, Conv2D
-import repro.nn.conv as conv_module
 from repro.nn.im2col import col2im, conv_output_size, im2col
 from tests.conftest import (
     assert_layer_gradients,
@@ -242,7 +241,7 @@ def test_plane_major_forward_stays_near_pocketfft_im2col(case):
 def dense_conv_cases(draw):
     """``(layer, input)`` for plain ``Conv2D`` over random geometry:
     C 1–8, P 1–8, r 1–5, stride 1–3, padding 0..r−1, odd and non-square
-    maps, batch 1–9: both sides of the row-patch depth floor."""
+    maps, batch 1–9."""
     field = draw(st.integers(1, 5))
     padding = draw(st.integers(0, field - 1))
     smallest = max(1, field - 2 * padding)
@@ -266,9 +265,9 @@ def dense_conv_cases(draw):
 @given(dense_conv_cases())
 def test_conv2d_gemm_layout_matches_im2col_product(case):
     # Recording and serving share one value path, so their bits agree;
-    # the per-image GEMMs (one per kernel row on row patches, one W @ cols
-    # on thin layers) sum the same products as the patch-per-row product
-    # cols @ Wᵀ, in BLAS's own order.
+    # the per-image GEMMs (one per kernel row on row patches) sum the
+    # same products as the patch-per-row product cols @ Wᵀ, in BLAS's own
+    # order.
     layer, x = case
     served = layer.inference_forward(x)
     np.testing.assert_array_equal(
@@ -288,8 +287,8 @@ def test_conv2d_gemm_layout_matches_im2col_product(case):
 
 def _caffe_product(layer, x):
     """``W @ cols + b`` on im2col's contiguous ``(B, C·r², OH·OW)``
-    patches, one GEMM per image: the lowering every ``Conv2D`` ran before
-    row patches, and the one it keeps below the depth floor."""
+    patches, one GEMM per image: the lowering ``Conv2D`` ran before row
+    patches."""
     batch = x.shape[0]
     out_h, out_w = layer.output_shape(x.shape[2], x.shape[3])
     cols = np.ascontiguousarray(
@@ -301,36 +300,23 @@ def _caffe_product(layer, x):
     return out.reshape(batch, layer.out_channels, out_h, out_w)
 
 
-def _is_thin(layer):
-    return layer.in_channels * layer.field < conv_module._MIN_ROW_DEPTH
-
-
 @settings(max_examples=80, deadline=None)
 @given(dense_conv_cases())
 def test_conv2d_row_patches_stay_near_im2col(case):
     # Row patches sum each output over kernel rows, one GEMM per row, so
     # the last bits move: within 1e-13 of max-abs of the im2col product.
-    # Below the depth floor the layer runs that product itself, bit for
-    # bit.
     layer, x = case
     served = layer.inference_forward(x)
     reference = _caffe_product(layer, x)
-    if _is_thin(layer):
-        np.testing.assert_array_equal(
-            served.view(np.uint64), reference.view(np.uint64)
-        )
-    else:
-        scale = np.abs(reference).max()
-        assert np.abs(served - reference).max() <= 1e-13 * scale
+    assert np.abs(served - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 @st.composite
 def tiled_conv_cases(draw):
-    """``(layer, input)`` with ``C·r ≥ 8`` whose batch spans at least two
-    serving tiles: 16 filters on 24–32 pixel maps (~170–300 KB an
-    image), r 2–5, stride 1–3."""
-    field = draw(st.integers(2, 5))
-    channels = draw(st.integers(-(-8 // field), 6))
+    """``(layer, input)`` whose batch spans at least two serving tiles:
+    C 1–6, 16 filters on 24–32 pixel maps, r 1–5, stride 1–3."""
+    field = draw(st.integers(1, 5))
+    channels = draw(st.integers(1, 6))
     padding = draw(st.integers(0, field - 1))
     layer = Conv2D(
         channels, 16, field, stride=draw(st.integers(1, 3)),
@@ -341,7 +327,7 @@ def tiled_conv_cases(draw):
     width = draw(st.integers(24, 32))
     out_h, out_w = layer.output_shape(height, width)
     # Images per serving tile, before the tile is capped at the batch.
-    _, tile = layer._lowering(10**6, out_h, out_w, record=False)
+    tile = layer._tile(10**6, out_h, out_w)
     batch = draw(st.integers(tile + 1, 2 * tile + 2))
     shape = (batch, channels, height, width)
     return layer, np.random.default_rng(shape).normal(size=shape)
@@ -351,13 +337,11 @@ def tiled_conv_cases(draw):
 @given(tiled_conv_cases())
 def test_conv2d_image_bits_do_not_depend_on_tile_or_batch(case):
     # Every GEMM is per image, so an image's output is the same bits
-    # alone, in any tile of a served batch, and in the recording forward
-    # (one tile of the whole batch).
+    # alone, in any tile of a served batch, and in the recording forward.
     layer, x = case
     batch = x.shape[0]
     out_h, out_w = layer.output_shape(x.shape[2], x.shape[3])
-    rows, tile = layer._lowering(batch, out_h, out_w, record=False)
-    assert rows == 1 and tile < batch
+    assert layer._tile(batch, out_h, out_w) < batch
     served = layer.inference_forward(x)
     for b in range(batch):
         alone = layer.inference_forward(x[b:b + 1])[0]
@@ -374,10 +358,9 @@ class TestConv2DRowPatchTape:
         (1, 0), (1, 2), (2, 0), (2, 1), (3, 0), (3, 2),
     ])
     def test_gradients(self, rng, stride, padding):
-        # C·r = 9: the tape is the row-patch buffer, split by row phase
-        # when stride > 1.
+        # The tape is the row-patch buffer, split by row phase when
+        # stride > 1.
         layer = Conv2D(3, 2, 3, stride=stride, padding=padding, seed=3)
-        assert not _is_thin(layer)
         assert_layer_gradients(layer, rng.normal(size=(2, 3, 8, 7)), rng)
 
     def test_tape_is_the_r_fold_row_patch_buffer(self, rng):
