@@ -7,8 +7,9 @@ the actual kernels:
   sizes (and the measured crossover is reported);
 - the cached-spectrum serving path (SpectralWeightCache) beats the
   recompute-everything seed path by >= 3x at k=64;
-- the CONV serving path (same shared GEMM kernel, cached ``(r², p, q)``
-  spectra) beats the seed conv forward by >= 2x;
+- the compiled CONV layer (per-pixel transform, same shared GEMM
+  kernel, cached ``(r², p, q)`` spectra) beats the seed conv forward by
+  >= 2x;
 - the backward pass (Algorithm 2) stays in the same complexity class;
 - the recursive-plan execution (Fig 9) matches the iterative kernel;
 - real-input FFTs do half the work of complex FFTs (Fig 10 symmetry).
@@ -21,6 +22,7 @@ skipped while every speedup assertion still runs.
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -29,7 +31,6 @@ import pytest
 from repro.circulant import (
     SpectralWeightCache,
     block_circulant_backward,
-    block_circulant_conv_forward,
     block_circulant_forward,
 )
 from repro.fftcore import (
@@ -39,6 +40,8 @@ from repro.fftcore import (
     real_fft_ops,
     rfft_real,
 )
+from repro.nn import BlockCirculantConv2D
+from repro.nn.im2col import im2col
 from repro.nn.module import Parameter
 
 from conftest import BENCH_SMOKE
@@ -54,14 +57,22 @@ def _block_inputs(n: int, k: int, batch: int = 8, seed: int = 0):
 
 def _conv_inputs(channels: int, k: int, flat: int, field: int = 3,
                  seed: int = 0):
-    """Serving-shaped CONV workload: ``channels`` in/out channels in
-    ``k × k`` circulant blocks at ``field²`` spatial offsets, ``flat``
-    im2col rows (batch × output positions)."""
-    rng = np.random.default_rng(seed)
-    blocks = channels // k
-    w = rng.normal(size=(field**2, blocks, blocks, k))
-    patches = rng.normal(size=(flat, field**2, blocks, k))
-    return w, patches
+    """Serving-shaped CONV workload: a compiled ``channels → channels``
+    :class:`BlockCirculantConv2D` (``k × k`` circulant blocks at
+    ``field²`` spatial offsets, same padding), one NCHW image with
+    ``flat`` output positions, and that image's im2col patch blocks
+    ``(flat, field², channels // k, k)`` for the seed route."""
+    side = math.isqrt(flat)
+    assert side * side == flat, "flat must be a square number of positions"
+    layer = BlockCirculantConv2D(
+        channels, channels, field, k, padding=field // 2, seed=seed
+    ).compile_inference()
+    x = np.random.default_rng(seed).normal(size=(1, channels, side, side))
+    cols = im2col(x, field, 1, field // 2)
+    patches = cols.transpose(0, 1, 3, 4, 2).reshape(
+        flat, field**2, channels // k, k
+    )
+    return layer, x, patches
 
 
 def _seed_conv_forward(w: np.ndarray, patch_blocks: np.ndarray) -> np.ndarray:
@@ -193,17 +204,20 @@ class TestSpectralInferenceEngine:
     def test_conv_cached_spectrum_beats_seed_2x(
         self, benchmark, channels, k, flat
     ):
-        """The CONV serving gate: cached spectrum + shared GEMM kernel must
+        """The CONV serving gate: the compiled layer's serving forward
+        (one rfft per pixel, cached spectrum, shared GEMM kernel) must
         beat the seed conv forward (per-call weight FFT, optimize=True
-        einsum contraction) by >= 2x on serving-shaped workloads."""
-        w, patches = _conv_inputs(channels, k, flat)
-        wf = SpectralWeightCache().spectrum(Parameter(w))
+        einsum contraction) on the same image's im2col patches by >= 2x
+        on serving-shaped workloads."""
+        layer, x, patches = _conv_inputs(channels, k, flat)
+        # The seed's (positions, channels) rows, viewed as the layer's
+        # NCHW output without a copy (one image, channels-last to first).
         _assert_cached_beats_seed(
             benchmark,
-            lambda: block_circulant_conv_forward(
-                w, patches, cached_spectrum=wf
-            ),
-            lambda: _seed_conv_forward(w, patches),
+            lambda: layer.inference_forward(x),
+            lambda: _seed_conv_forward(
+                layer.weight.value, patches
+            ).reshape(flat, channels).T.reshape(x.shape),
             floor=2.0,
             label=f"C=P={channels}, k={k}, patches={flat}",
         )

@@ -27,9 +27,9 @@ import numpy as np
 
 from repro.circulant.ops import (
     block_circulant_backward,
-    block_circulant_conv_forward,
     block_circulant_forward,
     partition_vector,
+    spectral_contract,
     unpartition_vector,
 )
 from repro.experiments.training_speedup import run_training_speedup
@@ -97,9 +97,15 @@ def _seed_conv_forward(layer, x):
     patch_blocks = patches.reshape(
         batch * positions, layer.field**2, layer.qc, k
     )
-    y_blocks = block_circulant_conv_forward(
-        layer.weight.value, patch_blocks, be
+    # The im2col route: weight rfft, patch-block rfft in plane-major
+    # (k, r², q, batch) memory (the layer's layout, so the same bits),
+    # the shared per-frequency GEMM, irfft.
+    wf = be.rfft(layer.weight.value)
+    pf = be.rfft(
+        np.ascontiguousarray(patch_blocks.transpose(3, 1, 2, 0))
+        .transpose(3, 1, 2, 0)
     )
+    y_blocks = be.irfft(spectral_contract(wf, pf), n=k)
     out = y_blocks.reshape(batch * positions, layer.pp * k)
     out = out[:, : layer.out_channels]
     if layer.bias is not None:

@@ -8,14 +8,13 @@
 - :mod:`repro.circulant.ops` — the batched FFT-domain kernels behind
   Algorithms 1 and 2: forward ``a_i = Σ_j IFFT(FFT(w_ij) ∘ FFT(x_j))`` and
   the two backward products, vectorised over a batch. FC
-  (:func:`block_circulant_forward`) and CONV
-  (:func:`block_circulant_conv_forward` /
+  (:func:`block_circulant_forward` / :func:`block_circulant_backward`)
+  and CONV (the :class:`~repro.nn.BlockCirculantConv2D` forward /
   :func:`block_circulant_conv_backward`) share one per-frequency BLAS
-  contraction, :func:`spectral_contract`, and both take a
-  ``cached_spectrum=`` produced by :func:`weight_spectrum`. A forward
-  called with ``record=True`` returns a :class:`SpectralTape` whose
-  spectra the backward kernels reuse, so a train step runs one FFT per
-  distinct tensor.
+  contraction, :func:`spectral_contract`, and take a
+  ``cached_spectrum=`` produced by :func:`weight_spectrum`. A recording
+  forward keeps a :class:`SpectralTape` whose spectra the backward
+  kernels reuse, so a train step runs one FFT per distinct tensor.
 - :mod:`repro.circulant.projection` — least-squares projection of a dense
   matrix onto the (block-)circulant set, used to initialise compressed
   layers from dense ones and by the baselines.
@@ -30,10 +29,8 @@ from repro.circulant.circulant import CirculantMatrix
 from repro.circulant.block import BlockCirculantMatrix
 from repro.circulant.ops import (
     SpectralTape,
-    block_circulant_apply,
     block_circulant_backward,
     block_circulant_conv_backward,
-    block_circulant_conv_forward,
     block_circulant_forward,
     block_dims,
     expand_to_dense,
@@ -52,10 +49,8 @@ from repro.circulant.toeplitz import ToeplitzMatrix
 __all__ = [
     "CirculantMatrix",
     "BlockCirculantMatrix",
-    "block_circulant_apply",
     "block_circulant_forward",
     "block_circulant_backward",
-    "block_circulant_conv_forward",
     "block_circulant_conv_backward",
     "SpectralTape",
     "spectral_contract",

@@ -22,17 +22,17 @@ the complex conjugate in the frequency domain, which is what we use.)
 
 The same structure covers the CONV layer (paper Eq. 7): at each of the
 ``r²`` spatial offsets the cross-channel weight matrix is block-circulant,
-and :func:`block_circulant_conv_forward` folds the offset axis into the
-contracted dimension so FC and CONV share one spectral-contraction kernel,
-:func:`spectral_contract`. Because the circulant blocks run along the
-channel axis, every im2col patch block is one pixel's channel block (or
-zeros from padding), and ``rfft(im2col(x))`` equals the im2col gather of
-the per-pixel ``rfft``: the CONV layer transforms each pixel block of its
-feature map once and gathers the patch spectrum straight into the
-frequency-major GEMM operand, bit-identical to transforming every patch.
-Its pipeline is plane-major from the input pixels to the NCHW output
-(the transform axis outermost in memory), which the numpy backend
-transforms as one GEMM against its DFT table for ``k ≤ 8``.
+and the offset axis folds into the contracted dimension, so FC and CONV
+share one spectral-contraction kernel, :func:`spectral_contract`. Because
+the circulant blocks run along the channel axis, every im2col patch block
+is one pixel's channel block (or zeros from padding), and
+``rfft(im2col(x))`` equals the im2col gather of the per-pixel ``rfft``:
+:func:`_patch_spectrum` transforms each pixel block of the feature map
+once and gathers the patch spectrum straight into the frequency-major
+GEMM operand, without ever building time-domain patches. Its pipeline is
+plane-major from the input pixels to the NCHW output (the transform axis
+outermost in memory), which the numpy backend transforms as one GEMM
+against its DFT table for ``k ≤ 8``.
 
 All functions accept an FFT ``backend`` name so every experiment can be
 replayed on the from-scratch radix-2 kernel, and a ``cached_spectrum=``
@@ -43,12 +43,13 @@ amortises the weight FFT across calls and only transforms activations.
 
 Training gets the same reuse through the **spectral tape** (paper Eq. 8–9:
 both gradients are per-frequency products of spectra the forward pass
-already computed). A forward called with ``record=True`` returns a
-:class:`SpectralTape` carrying the weight and input/patch spectra, and the
-backward kernels accept them back (``cached_spectrum=`` /
-``cached_input_spectrum=`` / ``cached_patch_spectrum=``), so one full
-train step performs exactly one FFT per distinct tensor: ``w``, ``x`` (for
-the CONV layer, its pixel blocks), and the output gradient.
+already computed). An FC forward called with ``record=True``
+returns a :class:`SpectralTape` carrying the weight and input spectra, and
+the backward kernels take them back (``cached_spectrum=`` /
+``cached_input_spectrum=``; the CONV backward takes the patch spectrum
+its layer recorded as an argument), so one full train step performs
+exactly one FFT per distinct tensor: ``w``, ``x`` (for the CONV layer,
+its pixel blocks), and the output gradient.
 """
 
 from __future__ import annotations
@@ -120,13 +121,13 @@ class SpectralTape:
     the forward pass already computed. The tape is the record that carries
     them across the forward/backward boundary:
 
-    - ``blocks`` — the time-domain input blocks (FC: ``(batch, q, k)``) or
-      patch blocks (CONV: ``(batch·positions, r², q, k)``) the forward
-      consumed; ``None`` on the CONV layer's tape, whose patch spectrum
-      is gathered from the per-pixel transform without time-domain
-      patches;
-    - ``input_spectrum`` — ``rfft(blocks)``, reusable as
-      ``cached_input_spectrum=`` / ``cached_patch_spectrum=``;
+    - ``blocks`` — the FC layer's time-domain input blocks
+      ``(batch, q, k)``; ``None`` on a CONV tape, whose patch spectrum is
+      gathered from the per-pixel transform without time-domain patches;
+    - ``input_spectrum`` — ``rfft`` of the input blocks (FC), reusable as
+      ``cached_input_spectrum=``, or the gathered patch spectrum (CONV),
+      the ``patch_spectrum`` argument of
+      :func:`block_circulant_conv_backward`;
     - ``weight_spectrum`` — the ``rfft(w)`` the forward actually used
       (possibly served from a
       :class:`~repro.circulant.spectral_cache.SpectralWeightCache`),
@@ -241,7 +242,8 @@ def block_circulant_forward(
     record:
         When true, also return the :class:`SpectralTape` of spectra this
         call computed, for :func:`block_circulant_backward` to consume —
-        the training-path analogue of ``cached_spectrum=``.
+        the training-path analogue of ``cached_spectrum=``. It only
+        decides whether the tape is kept: the output is the same bits.
 
     Returns
     -------
@@ -258,154 +260,17 @@ def block_circulant_forward(
     else:
         wf = cached_spectrum
         _check_spectrum_shape(wf, w.shape)
+    # Frequency-major memory behind the natural view (the
+    # SpectralWeightCache layout trick), recording or not: ``matmul``
+    # picks its kernel (and rounding) by strides, so one layout keeps
+    # the recording and serving forwards bit-identical, and a tape's
+    # backward reuse contracts straight from the same memory.
     xf = be.rfft(x_blocks)
-    if record:
-        # Rearrange once to frequency-major memory behind the natural
-        # view (the SpectralWeightCache layout trick): the contraction
-        # below would have copied anyway, and the backward reuse then
-        # contracts straight from the same memory.
-        xf = np.ascontiguousarray(xf.transpose(2, 1, 0)).transpose(2, 1, 0)
+    xf = np.ascontiguousarray(xf.transpose(2, 1, 0)).transpose(2, 1, 0)
     out = be.irfft(spectral_contract(wf, xf), n=k)
     if record:
         return out, SpectralTape(x_blocks, xf, wf)
     return out
-
-
-def block_circulant_apply(
-    w: np.ndarray, x: np.ndarray, out_features: int | None = None,
-    backend=None, *, cached_spectrum: np.ndarray | None = None,
-) -> np.ndarray:
-    """Batch-major FC entry point: flat ``(batch, n)`` rows in, ``(batch, m)``
-    rows out.
-
-    Combines :func:`partition_vector`, :func:`block_circulant_forward` and
-    :func:`unpartition_vector` in one call, so batch assemblers — the
-    serving scheduler stacking many requests into one micro-batch — hand
-    their rows straight to the per-frequency GEMM without doing the block
-    reshuffle themselves. Stateless by construction, which is what makes
-    the compiled serving forward reentrant.
-
-    Parameters
-    ----------
-    w:
-        Defining vectors, shape ``(p, q, k)``.
-    x:
-        Flat input rows, shape ``(batch, n)`` with ``n <= q*k``.
-    out_features:
-        Output width ``m`` (padding rows dropped); defaults to ``p*k``.
-    cached_spectrum:
-        Optional precomputed ``rfft(w)`` (see :func:`weight_spectrum`).
-
-    Returns
-    -------
-    Output rows, shape ``(batch, out_features)``.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 3:
-        raise ShapeError(f"weights must be (p, q, k), got shape {w.shape}")
-    p, q, k = w.shape
-    m = p * k if out_features is None else out_features
-    blocks = partition_vector(x, k, q)
-    out_blocks = block_circulant_forward(
-        w, blocks, backend, cached_spectrum=cached_spectrum
-    )
-    return unpartition_vector(out_blocks, m)
-
-
-def block_circulant_conv_forward(
-    w: np.ndarray, patch_blocks: np.ndarray, backend=None, *,
-    cached_spectrum: np.ndarray | None = None, record: bool = False,
-) -> np.ndarray | tuple[np.ndarray, SpectralTape]:
-    """Paper Eq. 7: the CONV layer's per-spatial-offset spectral product.
-
-    After im2col, a block-circulant convolution is ``r²`` independent
-    cross-channel block-circulant products summed over the spatial
-    offsets. This kernel evaluates all of them at once through
-    :func:`spectral_contract` — the same frequency-major per-frequency
-    BLAS GEMM the FC layer uses, with the offset axis folded into the
-    contraction.
-
-    This is the im2col route, kept as the reference the layer's
-    per-pixel route (:func:`_patch_spectrum`) is checked against. The
-    patch blocks are copied into plane-major ``(k, r², q, batch)``
-    memory before the ``rfft``, the layout the layer transforms its
-    pixel blocks in, so on the numpy backend both routes run the same
-    DFT-table GEMM per block and get the same spectrum bits; the
-    spectrum comes back already frequency-major.
-
-    Parameters
-    ----------
-    w:
-        Defining vectors, shape ``(r², p, q, k)`` — one ``(p, q)`` grid of
-        length-``k`` first columns per spatial offset.
-    patch_blocks:
-        im2col patches partitioned into channel blocks, shape
-        ``(batch·positions, r², q, k)``.
-    cached_spectrum:
-        Optional precomputed ``rfft(w)`` of shape ``(r², p, q, k//2 + 1)``
-        (see :func:`weight_spectrum`). When given — normally from
-        :class:`~repro.circulant.spectral_cache.SpectralWeightCache`,
-        whose frequency-major layout makes the contraction zero-copy —
-        the ``r²·p·q`` weight FFTs are skipped entirely, which dominates
-        the cost for inference-sized batches.
-    record:
-        When true, also return the :class:`SpectralTape` of spectra this
-        call computed, for :func:`block_circulant_conv_backward`.
-
-    Returns
-    -------
-    Output channel blocks, shape ``(batch·positions, p, k)`` — or the
-    pair ``(blocks, tape)`` when ``record`` is true.
-    """
-    be = get_backend(backend)
-    w = np.asarray(w, dtype=np.float64)
-    patch_blocks = np.asarray(patch_blocks, dtype=np.float64)
-    if w.ndim != 4:
-        raise ShapeError(f"weights must be (r², p, q, k), got shape {w.shape}")
-    s, p, q, k = w.shape
-    if patch_blocks.ndim != 4 or patch_blocks.shape[1:] != (s, q, k):
-        raise ShapeError(
-            f"patch blocks must be (batch, {s}, {q}, {k}), "
-            f"got {patch_blocks.shape}"
-        )
-    if cached_spectrum is None:
-        wf = be.rfft(w)
-    else:
-        wf = cached_spectrum
-        _check_spectrum_shape(wf, w.shape)
-    # Frequency-major memory behind the natural (batch, r², q, f) view,
-    # recording or not, as ``_patch_spectrum`` lays it out: ``matmul``
-    # picks its kernel (and rounding) by strides, so one layout keeps
-    # this kernel and the layer bit-identical, and a tape's backward
-    # reuse zero-copy. (The outer copy is a no-op on the numpy backend,
-    # which keeps the plane-major input's memory order.)
-    pf = _frequency_major(be.rfft(_frequency_major(patch_blocks)))
-    out = be.irfft(spectral_contract(wf, pf), n=k)
-    if record:
-        return out, SpectralTape(patch_blocks, pf, wf)
-    return out
-
-
-def _frequency_major(blocks: np.ndarray) -> np.ndarray:
-    """``blocks``, ``(batch, r², q, n)``, behind ``(n, r², q, batch)``
-    memory: copied unless it is laid out so already.
-
-    It is the tape's frequency-major spectrum layout and, for time-domain
-    blocks, the plane-major layout that the numpy backend transforms as
-    one GEMM against its DFT table, keeping the result in that layout.
-    The transform axis must also carry the largest stride, as the
-    backend's plane-major test requires: NumPy calls an array with
-    length-1 axes contiguous whatever their strides, so a one-line block
-    (batch = r² = q = 1) can pass the contiguity flag and still have
-    C-contiguous strides, which would send it to ``numpy.fft`` while the
-    layer's pixel buffer of the same line takes the table.
-    """
-    plane = blocks.transpose(3, 1, 2, 0)
-    if plane.flags.c_contiguous and blocks.strides[-1] == max(blocks.strides):
-        return blocks
-    out = np.empty(plane.shape, dtype=blocks.dtype)
-    out[...] = plane
-    return out.transpose(3, 1, 2, 0)
 
 
 def _channel_blocks(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -438,14 +303,11 @@ def _patch_spectrum(x: np.ndarray, field: int, stride: int, padding: int,
     the numpy backend transforms them as one GEMM against its DFT table
     and returns the spectrum in ``(f, q, batch, H+2·padding, W+2·padding)``
     memory; the window gather then copies contiguous output-row runs.
-    Every conv route transforms its blocks in this layout
-    (:func:`_frequency_major`), which is what keeps their spectra, and
-    so their outputs, the same bits.
 
     Returns the ``(batch·positions, r², q, f)`` view over
-    ``(f, r², q, batch·positions)``-contiguous memory, the layout
-    :func:`block_circulant_conv_forward` uses, which
-    :func:`spectral_contract` folds into its GEMM operand without a copy.
+    ``(f, r², q, batch·positions)``-contiguous memory, which
+    :func:`spectral_contract` folds into its GEMM operand and
+    :func:`block_circulant_conv_backward` reads back without a copy.
     """
     be = get_backend(backend)
     batch, _, height, width = x.shape
@@ -568,15 +430,14 @@ def block_circulant_backward(
 
 def block_circulant_conv_backward(
     w: np.ndarray,
-    patch_blocks: np.ndarray,
+    patch_spectrum: np.ndarray,
     grad_blocks: np.ndarray,
     backend=None,
     *,
     cached_spectrum: np.ndarray | None = None,
-    cached_patch_spectrum: np.ndarray | None = None,
     compute_patch_grad: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Gradients of :func:`block_circulant_conv_forward` (paper Eq. 8–9).
+    """Gradients of the CONV layer's spectral product (paper Eq. 8–9).
 
     Evaluates the two gradient contractions — the einsums
     ``"bif,bsjf->sijf"`` (weight gradient, a cross-correlation against the
@@ -590,19 +451,17 @@ def block_circulant_conv_backward(
     ----------
     w:
         Defining vectors ``(r², p, q, k)``.
-    patch_blocks:
-        Forward patch blocks ``(batch·positions, r², q, k)``, or ``None``
-        when ``cached_patch_spectrum`` is given (the layer's tape holds
-        only the spectrum).
+    patch_spectrum:
+        ``rfft`` of the forward's patch blocks, shape
+        ``(batch·positions, r², q, k//2 + 1)`` — the ``input_spectrum``
+        of the :class:`SpectralTape` the layer's recording forward kept
+        (:func:`_patch_spectrum`), whose frequency-major memory the
+        weight-gradient GEMM reads as a pure stride view.
     grad_blocks:
         ``∂L/∂y`` output channel blocks, shape ``(batch·positions, p, k)``.
     cached_spectrum:
         Optional precomputed ``rfft(w)`` (see :func:`weight_spectrum`).
-    cached_patch_spectrum:
-        Optional precomputed ``rfft(patch_blocks)`` — normally the
-        ``input_spectrum`` of the :class:`SpectralTape` a recording
-        forward returned. With both spectra supplied, this kernel's only
-        FFT is the one over ``grad_blocks``.
+        With it, this kernel's only FFT is the one over ``grad_blocks``.
     compute_patch_grad:
         When false, the patch-gradient product — the largest GEMM and
         inverse FFT of the backward pass — is skipped and ``None``
@@ -625,39 +484,20 @@ def block_circulant_conv_backward(
         raise ShapeError(
             f"grad blocks must be (batch, {p}, {k}), got {grad_blocks.shape}"
         )
-    if patch_blocks is None and cached_patch_spectrum is None:
-        raise ShapeError(
-            "patch_blocks may be None only with cached_patch_spectrum"
-        )
-    patch_shape = ((grad_blocks.shape[0], s, q, k) if patch_blocks is None
-                   else np.shape(patch_blocks))
-    if len(patch_shape) != 4 or patch_shape[1:] != (s, q, k):
-        raise ShapeError(
-            f"patch blocks must be (batch, {s}, {q}, {k}), got {patch_shape}"
-        )
-    if grad_blocks.shape[0] != patch_shape[0]:
-        raise ShapeError(
-            "grad batch "
-            f"{grad_blocks.shape[0]} != patch batch {patch_shape[0]}"
-        )
+    pf = patch_spectrum
+    _check_spectrum_shape(pf, (grad_blocks.shape[0], s, q, k))
     if cached_spectrum is None:
         wf = be.rfft(w)
     else:
         wf = cached_spectrum
         _check_spectrum_shape(wf, w.shape)
-    if cached_patch_spectrum is None:
-        # Transformed in the forward's layout, so to the same bits.
-        pf = be.rfft(_frequency_major(np.asarray(patch_blocks, np.float64)))
-    else:
-        pf = cached_patch_spectrum
-        _check_spectrum_shape(pf, patch_shape)
     gf = be.rfft(grad_blocks)
     batch, f = gf.shape[0], gf.shape[-1]
     # Weight gradient "bif,bsjf->sijf" as (f, p, batch) @ (f, batch, r²·q),
     # using G ∘ conj(P) = conj(conj(G) ∘ P) so only the small grad
     # spectrum and the small result are conjugate-copied, never the large
-    # patch spectrum — whose frequency-major tape memory (``record=``)
-    # makes the rhs below a pure stride view into the recorded spectra.
+    # patch spectrum — whose frequency-major tape memory
+    # (:func:`_patch_spectrum`) makes the rhs below a pure stride view.
     grad_wf = np.conj(np.matmul(
         np.conj(gf.transpose(2, 1, 0)),
         pf.transpose(3, 0, 1, 2).reshape(f, batch, s * q),
@@ -698,14 +538,16 @@ def expand_to_dense(w: np.ndarray, m: int | None = None,
     return dense
 
 
-def _check_spectrum_shape(wf: np.ndarray, w_shape: tuple[int, ...]) -> None:
-    # Works for both layer types: (p, q, k) FC grids and (r², p, q, k)
-    # CONV grids — rfft replaces the trailing k with k//2 + 1 bins.
-    expected = (*w_shape[:-1], w_shape[-1] // 2 + 1)
-    if wf.shape != expected:
+def _check_spectrum_shape(spectrum: np.ndarray,
+                          blocks_shape: tuple[int, ...]) -> None:
+    # Works for every blocked tensor: (p, q, k) FC grids, (r², p, q, k)
+    # CONV grids, (batch, ..., k) activation blocks — rfft replaces the
+    # trailing k with k//2 + 1 bins.
+    expected = (*blocks_shape[:-1], blocks_shape[-1] // 2 + 1)
+    if np.shape(spectrum) != expected:
         raise ShapeError(
-            f"cached spectrum must have shape {expected} for weights "
-            f"{w_shape}, got {wf.shape}"
+            f"spectrum must have shape {expected} for blocks "
+            f"{blocks_shape}, got {np.shape(spectrum)}"
         )
 
 

@@ -239,9 +239,8 @@ class BlockCirculantConv2D(Module):
         # gradient contractions run as the same frequency-major
         # per-frequency GEMMs as the forward spectral_contract.
         grad_w, grad_pblocks = block_circulant_conv_backward(
-            self.weight.value, None, grad_blocks, be,
+            self.weight.value, self._tape.input_spectrum, grad_blocks, be,
             cached_spectrum=self._tape.weight_spectrum,
-            cached_patch_spectrum=self._tape.input_spectrum,
             compute_patch_grad=self.needs_input_grad,
         )
         # The tape (the batch-sized complex patch spectrum) is consumed;

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.circulant.ops import (
     SpectralTape,
-    block_circulant_apply,
     block_circulant_backward,
     block_circulant_forward,
     block_dims,
@@ -107,15 +106,15 @@ class BlockCirculantDense(Module):
 
     # -- compute --------------------------------------------------------------
     def _run_forward(self, x: np.ndarray, record: bool) -> np.ndarray:
-        """Shared forward pipeline; ``record`` caches state for backward.
+        """Shared forward pipeline; ``record`` keeps the tape for backward.
 
-        The serving path hands flat rows straight to the batch-major
-        :func:`~repro.circulant.ops.block_circulant_apply` ops entry; the
-        training path runs the same partition → spectral GEMM →
-        unpartition steps explicitly (bit-identical) with ``record=True``,
-        because ``backward`` consumes the resulting
-        :class:`~repro.circulant.ops.SpectralTape` — input blocks plus
-        the weight and input spectra this forward already computed.
+        One sequence for training and serving: partition the rows into
+        ``k``-blocks → :func:`~repro.circulant.ops.block_circulant_forward`
+        → drop the padded output rows. ``record`` only decides whether
+        the :class:`~repro.circulant.ops.SpectralTape` (input blocks plus
+        the weight and input spectra this forward computed) is kept for
+        ``backward``; ``forward`` and ``inference_forward`` return the
+        same bits.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -123,18 +122,14 @@ class BlockCirculantDense(Module):
                 f"BlockCirculantDense expects (batch, {self.in_features}), "
                 f"got {x.shape}"
             )
+        blocks = partition_vector(x, self.block_size, self.q)
+        out_blocks = block_circulant_forward(
+            self.weight.value, blocks, self.backend,
+            cached_spectrum=self._weight_spectrum(), record=record,
+        )
         if record:
-            blocks = partition_vector(x, self.block_size, self.q)
-            out_blocks, self._tape = block_circulant_forward(
-                self.weight.value, blocks, self.backend,
-                cached_spectrum=self._weight_spectrum(), record=True,
-            )
-            out = unpartition_vector(out_blocks, self.out_features)
-        else:
-            out = block_circulant_apply(
-                self.weight.value, x, self.out_features, self.backend,
-                cached_spectrum=self._weight_spectrum(),
-            )
+            out_blocks, self._tape = out_blocks
+        out = unpartition_vector(out_blocks, self.out_features)
         if self.bias is not None:
             out = out + self.bias.value
         return out

@@ -26,7 +26,6 @@ from repro.quant.network import (
     quantization_format,
     quantize_network_weights,
     quantized_view,
-    requantize_endpoint,
 )
 
 __all__ = [
@@ -42,5 +41,4 @@ __all__ = [
     "network_accuracy",
     "accuracy_vs_bits",
     "quantization_format",
-    "requantize_endpoint",
 ]

@@ -193,33 +193,3 @@ def accuracy_vs_bits(network: Sequential, x: np.ndarray, y: np.ndarray,
         view = planned_view(network, plan, compile=False)
         results[bits] = network_accuracy(view, x, y, on_empty=on_empty)
     return results
-
-
-def requantize_endpoint(registry, endpoint: str, source: Sequential,
-                        weight_bits: int,
-                        activation_bits: int | None = None) -> Sequential:
-    """Registry-driven requantise-and-swap for a served endpoint.
-
-    Builds a fresh :func:`quantized_view` of ``source`` at the new word
-    length, compiles it (spectra computed once from the fake-quantised
-    weights), and atomically swaps it into
-    ``registry[endpoint]`` — in-flight batches finish on the old view,
-    new batches see the new one, never a mix. The old view (and its
-    cached spectra, held only weakly) becomes collectable as soon as the
-    last in-flight batch drops it. Returns the new compiled view.
-
-    ``registry`` is a :class:`repro.serving.ModelRegistry`; the
-    requantisation is its generalised re-plan action
-    (:meth:`~repro.serving.ModelRegistry.apply_plan`) with a uniform
-    plan, so the plan is recorded on the endpoint and spectra of layers
-    the new word length leaves bit-identical are seeded instead of
-    recomputed.
-    """
-    from repro.plan import ExecutionPlan
-
-    plan = ExecutionPlan.uniform(
-        sum(1 for _ in source.planned_layers()),
-        bits=weight_bits,
-        activation_bits=activation_bits,
-    )
-    return registry.apply_plan(endpoint, plan, source=source)

@@ -6,8 +6,8 @@ the float FC model, the CONV model, and one or more fixed-point
 behind a stable endpoint name. :class:`ModelRegistry` owns that mapping
 and makes replacement *atomic*: a batch resolves its network exactly once
 (:meth:`ModelRegistry.snapshot`), so a concurrent :meth:`swap` — a weight
-push, a requantisation (:func:`repro.quant.requantize_endpoint`), an
-execution re-plan (:meth:`ModelRegistry.apply_plan`), a rollback — is
+push, a requantisation or any other execution re-plan
+(:meth:`ModelRegistry.apply_plan`), a rollback — is
 observed entirely or not at all, never as a mix of old and new layers. Old networks are not torn down: in-flight batches finish on
 their snapshot, and the spectral cache's weak references let the retired
 generation be garbage-collected once the last batch drops it.
@@ -183,8 +183,9 @@ class ModelRegistry:
     def apply_plan(self, name: str, plan, *, source=None):
         """Atomically re-plan an endpoint: build, seed, compile, swap.
 
-        The generalised registry action behind
-        :func:`repro.quant.requantize_endpoint`: builds an uncompiled
+        A requantisation is this action with a uniform plan
+        (``ExecutionPlan.uniform(n, bits=..., activation_bits=...)``).
+        Builds an uncompiled
         :func:`repro.plan.planned_view` of ``source`` under ``plan``
         (per-layer backends, word lengths, activation quantisers), then
         compiles and :meth:`swap`\\ s it in — in-flight batches finish on

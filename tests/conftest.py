@@ -102,15 +102,96 @@ def conv_patch_blocks(layer, x: np.ndarray) -> np.ndarray:
     return blocks.reshape(rows, r2, layer.qc, k)
 
 
+def frequency_major(blocks: np.ndarray) -> np.ndarray:
+    """``blocks``, ``(batch, r², q, n)``, behind ``(n, r², q, batch)``
+    memory: copied unless it is laid out so already.
+
+    It is the layer's frequency-major spectrum layout and, for
+    time-domain blocks, the plane-major layout that the numpy backend
+    transforms as one GEMM against its DFT table, keeping the result in
+    that layout. The transform axis must also carry the largest stride,
+    as the backend's plane-major test requires: NumPy calls an array with
+    length-1 axes contiguous whatever their strides, so a one-line block
+    (batch = r² = q = 1) can pass the contiguity flag and still have
+    C-contiguous strides, which would send it to ``numpy.fft`` while the
+    layer's pixel buffer of the same line takes the table.
+    """
+    plane = blocks.transpose(3, 1, 2, 0)
+    if plane.flags.c_contiguous and blocks.strides[-1] == max(blocks.strides):
+        return blocks
+    out = np.empty(plane.shape, dtype=blocks.dtype)
+    out[...] = plane
+    return out.transpose(3, 1, 2, 0)
+
+
+def conv_patch_spectrum(patch_blocks: np.ndarray, backend=None) -> np.ndarray:
+    """``rfft`` of im2col patch blocks ``(batch·positions, r², q, k)`` in
+    the layer's layout: transformed plane-major, returned frequency-major
+    — the ``patch_spectrum`` argument of
+    :func:`repro.circulant.ops.block_circulant_conv_backward`."""
+    from repro.fftcore.backend import get_backend
+
+    be = get_backend(backend)
+    blocks = np.asarray(patch_blocks, dtype=np.float64)
+    return frequency_major(be.rfft(frequency_major(blocks)))
+
+
+def im2col_conv_forward(w: np.ndarray, patch_blocks: np.ndarray, backend=None,
+                        *, cached_spectrum: np.ndarray | None = None,
+                        record: bool = False):
+    """Paper Eq. 7 by the im2col route: the reference the layer's
+    per-pixel route (:func:`repro.circulant.ops._patch_spectrum`) is
+    checked against.
+
+    After im2col, a block-circulant convolution is ``r²`` independent
+    cross-channel block-circulant products summed over the spatial
+    offsets, evaluated at once through
+    :func:`repro.circulant.ops.spectral_contract`. The patch blocks
+    ``(batch·positions, r², q, k)`` are transformed in the layer's
+    plane-major layout (:func:`conv_patch_spectrum`), so on the numpy
+    backend both routes run the same DFT-table GEMM per block and get
+    the same spectrum bits. ``w`` is ``(r², p, q, k)``; returns the
+    output channel blocks ``(batch·positions, p, k)`` — or the pair
+    ``(blocks, tape)`` when ``record`` is true.
+    """
+    from repro.circulant.ops import (
+        SpectralTape,
+        _check_spectrum_shape,
+        spectral_contract,
+    )
+    from repro.errors import ShapeError
+    from repro.fftcore.backend import get_backend
+
+    be = get_backend(backend)
+    w = np.asarray(w, dtype=np.float64)
+    patch_blocks = np.asarray(patch_blocks, dtype=np.float64)
+    if w.ndim != 4:
+        raise ShapeError(f"weights must be (r², p, q, k), got shape {w.shape}")
+    s, p, q, k = w.shape
+    if patch_blocks.ndim != 4 or patch_blocks.shape[1:] != (s, q, k):
+        raise ShapeError(
+            f"patch blocks must be (batch, {s}, {q}, {k}), "
+            f"got {patch_blocks.shape}"
+        )
+    if cached_spectrum is None:
+        wf = be.rfft(w)
+    else:
+        wf = cached_spectrum
+        _check_spectrum_shape(wf, w.shape)
+    pf = conv_patch_spectrum(patch_blocks, be)
+    out = be.irfft(spectral_contract(wf, pf), n=k)
+    if record:
+        return out, SpectralTape(patch_blocks, pf, wf)
+    return out
+
+
 def conv_oracle_forward(layer, x: np.ndarray, record: bool = False):
     """``(output, tape)`` of ``layer`` on ``x`` by the im2col route:
-    :func:`conv_patch_blocks` → ``block_circulant_conv_forward`` against
-    the layer's (cached) weight spectrum → NCHW plus bias. ``tape`` is
+    :func:`conv_patch_blocks` → :func:`im2col_conv_forward` against the
+    layer's (cached) weight spectrum → NCHW plus bias. ``tape`` is
     ``None`` unless ``record``."""
-    from repro.circulant.ops import block_circulant_conv_forward
-
     out_h, out_w = layer.output_shape(x.shape[2], x.shape[3])
-    result = block_circulant_conv_forward(
+    result = im2col_conv_forward(
         layer.weight.value, conv_patch_blocks(layer, x), layer.backend,
         cached_spectrum=layer._weight_spectrum(), record=record,
     )

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circulant import (
-    block_circulant_apply,
     block_circulant_backward,
     block_circulant_forward,
     block_dims,
@@ -66,20 +65,6 @@ class TestPartitioning:
     def test_wrong_rank_rejected(self, rng):
         with pytest.raises(ShapeError):
             partition_vector(rng.normal(size=12), 4, 3)
-
-    def test_apply_fuses_partition_forward_unpartition(self, rng):
-        # The batch-major serving entry is exactly the three-step
-        # pipeline batch assemblers would otherwise write themselves.
-        w = rng.normal(size=(2, 3, 4))
-        x = rng.normal(size=(5, 10))
-        manual = unpartition_vector(
-            block_circulant_forward(w, partition_vector(x, 4, 3)), 7
-        )
-        np.testing.assert_array_equal(
-            block_circulant_apply(w, x, 7), manual
-        )
-        with pytest.raises(ShapeError):
-            block_circulant_apply(rng.normal(size=(2, 3)), x, 7)
 
 
 class TestForward:
@@ -198,18 +183,25 @@ class TestKernelProperties:
         q=st.integers(1, 3),
         log_k=st.integers(0, 4),
         batch=st.integers(1, 4),
+        m_cut=st.integers(0, 15),
+        n_cut=st.integers(0, 15),
     )
     @settings(max_examples=30, deadline=None)
-    def test_forward_equals_dense_property(self, seed, p, q, log_k, batch):
+    def test_forward_equals_dense_property(self, seed, p, q, log_k, batch,
+                                           m_cut, n_cut):
+        # The paper's core identity, through the layer's one sequence:
+        # an m × n matrix with m and n not necessarily multiples of k
+        # (zero-padded blocks, padded output rows dropped).
         rng = np.random.default_rng(seed)
         k = 2**log_k
+        m, n = p * k - m_cut % k, q * k - n_cut % k
         w = rng.normal(size=(p, q, k))
-        x = rng.normal(size=(batch, q, k))
-        out = block_circulant_forward(w, x)
-        expected = x.reshape(batch, q * k) @ expand_to_dense(w).T
-        np.testing.assert_allclose(
-            out.reshape(batch, p * k), expected, atol=1e-7
+        x = rng.normal(size=(batch, n))
+        out = unpartition_vector(
+            block_circulant_forward(w, partition_vector(x, k, q)), m
         )
+        expected = x @ expand_to_dense(w, m, n).T
+        np.testing.assert_allclose(out, expected, atol=1e-7)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)

@@ -91,10 +91,11 @@ def _input(sample, batch: int) -> np.ndarray:
 def test_compile_is_bit_identical_and_shares_one_frozen_cache(case, batch):
     net, sample = case
     x = _input(sample, batch)
-    # Each forward path against itself: compiling must not move a bit
-    # (the recording and pure paths may round differently from each other).
+    # Compiling must not move a bit, and the recording and pure forward
+    # paths run one operand layout, so they agree bit for bit too.
     expected_forward = net.eval().forward(x)
     expected_serving = net.inference_forward(x)
+    np.testing.assert_array_equal(expected_forward, expected_serving)
     net.compile_inference()
     np.testing.assert_array_equal(net.forward(x), expected_forward)
     np.testing.assert_array_equal(net.inference_forward(x), expected_serving)

@@ -28,7 +28,7 @@ from repro.nn import (
     ReLU,
     Sequential,
 )
-from repro.quant import quantized_view, requantize_endpoint
+from repro.quant import quantized_view
 from repro.serving import (
     BatchPolicy,
     InferenceServer,
@@ -470,10 +470,15 @@ class TestConcurrentServing:
         assert all(r.generation == 1 for r in responses[30:])
 
     def test_requantize_endpoint_swaps_atomically(self, rng):
+        from repro.plan import ExecutionPlan
+
         registry = ModelRegistry()
         source = _fc_net()
         registry.register("fc", quantized_view(source, 16, 16))
-        view8 = requantize_endpoint(registry, "fc", source, 8, 8)
+        view8 = registry.apply_plan(
+            "fc", ExecutionPlan.uniform(2, bits=8, activation_bits=8),
+            source=source,
+        )
         assert registry.get("fc") is view8
         assert registry.generation("fc") == 1
         assert view8.is_compiled

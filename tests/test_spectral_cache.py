@@ -10,7 +10,7 @@ import pytest
 from repro.circulant import (
     SpectralWeightCache,
     block_circulant_backward,
-    block_circulant_conv_forward,
+    block_circulant_conv_backward,
     block_circulant_forward,
     spectral_contract,
     weight_spectrum,
@@ -138,33 +138,32 @@ class TestSpectralContract:
                               np.zeros((4, 5, 8), dtype=complex))
 
     def test_conv_forward_cached_matches_uncached(self, rng):
-        w = rng.normal(size=(9, 3, 5, 8))
-        patches = rng.normal(size=(6, 9, 5, 8))
-        wf = weight_spectrum(w)
+        # (r², p, q, k) = (9, 3, 5, 8) weights over 6 output positions.
+        layer = BlockCirculantConv2D(40, 24, 3, 8, padding=1, seed=0)
+        x = rng.normal(size=(1, 40, 2, 3))
+        uncached = layer.inference_forward(x)
+        layer.compile_inference()
         np.testing.assert_allclose(
-            block_circulant_conv_forward(w, patches, cached_spectrum=wf),
-            block_circulant_conv_forward(w, patches),
-            atol=1e-12,
+            layer.inference_forward(x), uncached, atol=1e-12
         )
 
     def test_conv_forward_backend_agreement(self, rng):
-        w = rng.normal(size=(4, 2, 3, 16))
-        patches = rng.normal(size=(3, 4, 3, 16))
-        out_np = block_circulant_conv_forward(
-            w, patches, "numpy", cached_spectrum=weight_spectrum(w, "numpy")
-        )
-        out_r2 = block_circulant_conv_forward(
-            w, patches, "radix2", cached_spectrum=weight_spectrum(w, "radix2")
+        # (r², p, q, k) = (4, 2, 3, 16) weights over 3 output positions.
+        x = rng.normal(size=(3, 48, 2, 2))
+        out_np, out_r2 = (
+            BlockCirculantConv2D(48, 32, 2, 16, seed=0, backend=backend)
+            .compile_inference().inference_forward(x)
+            for backend in ("numpy", "radix2")
         )
         np.testing.assert_allclose(out_np, out_r2, atol=1e-9)
 
     def test_conv_wrong_spectrum_shape_rejected(self, rng):
         w = rng.normal(size=(9, 3, 5, 8))
-        patches = rng.normal(size=(6, 9, 5, 8))
+        patch_spectrum = np.fft.rfft(rng.normal(size=(6, 9, 5, 8)))
         with pytest.raises(ShapeError):
-            block_circulant_conv_forward(
-                w, patches, cached_spectrum=np.zeros((9, 3, 5, 8),
-                                                     dtype=complex)
+            block_circulant_conv_backward(
+                w, patch_spectrum, np.zeros((6, 3, 8)),
+                cached_spectrum=np.zeros((9, 3, 5, 8), dtype=complex),
             )
 
 

@@ -23,13 +23,14 @@ import pytest
 from tests.conftest import (
     conv_oracle_forward,
     conv_patch_blocks,
+    conv_patch_spectrum,
+    im2col_conv_forward,
     numeric_gradient,
 )
 from repro.circulant.ops import (
     SpectralTape,
     block_circulant_backward,
     block_circulant_conv_backward,
-    block_circulant_conv_forward,
     block_circulant_forward,
     partition_vector,
     unpartition_vector,
@@ -89,20 +90,23 @@ class TestRecordMode:
         np.testing.assert_array_equal(tape.weight_spectrum, be.rfft(w))
 
     def test_conv_forward_record_returns_tape(self, rng):
-        w = rng.normal(size=(4, 2, 3, 4))
-        patches = rng.normal(size=(6, 4, 3, 4))
-        plain = block_circulant_conv_forward(w, patches)
-        out, tape = block_circulant_conv_forward(w, patches, record=True)
+        layer = BlockCirculantConv2D(12, 8, 2, 4, seed=0)
+        x = rng.normal(size=(2, 12, 4, 3))
+        plain = layer.inference_forward(x)
+        out = layer.forward(x)
+        tape = layer._tape
         np.testing.assert_array_equal(out, plain)
+        assert isinstance(tape, SpectralTape) and tape.blocks is None
         be = get_backend(None)
-        # The kernel transforms its patch blocks in the plane-major
-        # (k, r², q, batch) memory layout.
+        # The layer's gathered spectrum is rfft of the im2col patch
+        # blocks transformed in the plane-major (k, r², q, batch) layout.
         plane_major = np.ascontiguousarray(
-            patches.transpose(3, 1, 2, 0)
+            conv_patch_blocks(layer, x).transpose(3, 1, 2, 0)
         ).transpose(3, 1, 2, 0)
         np.testing.assert_array_equal(tape.input_spectrum,
                                       be.rfft(plane_major))
-        np.testing.assert_array_equal(tape.weight_spectrum, be.rfft(w))
+        np.testing.assert_array_equal(tape.weight_spectrum,
+                                      be.rfft(layer.weight.value))
 
     def test_backward_accepts_cached_input_spectrum(self, rng):
         w = rng.normal(size=(2, 3, 4))
@@ -134,7 +138,9 @@ class TestConvBackwardKernel:
         w = rng.normal(size=(4, 2, 3, 4))
         patches = rng.normal(size=(6, 4, 3, 4))
         grad = rng.normal(size=(6, 2, 4))
-        gw, gp = block_circulant_conv_backward(w, patches, grad)
+        gw, gp = block_circulant_conv_backward(
+            w, conv_patch_spectrum(patches), grad
+        )
         gw_ref, gp_ref = _einsum_conv_backward(w, patches, grad)
         np.testing.assert_allclose(gw, gw_ref, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(gp, gp_ref, rtol=1e-12, atol=1e-14)
@@ -143,12 +149,13 @@ class TestConvBackwardKernel:
         w = rng.normal(size=(4, 2, 3, 4))
         patches = rng.normal(size=(6, 4, 3, 4))
         grad = rng.normal(size=(6, 2, 4))
-        _, tape = block_circulant_conv_forward(w, patches, record=True)
-        plain = block_circulant_conv_backward(w, patches, grad)
+        _, tape = im2col_conv_forward(w, patches, record=True)
+        plain = block_circulant_conv_backward(
+            w, conv_patch_spectrum(patches), grad
+        )
         taped = block_circulant_conv_backward(
-            w, patches, grad,
+            w, tape.input_spectrum, grad,
             cached_spectrum=tape.weight_spectrum,
-            cached_patch_spectrum=tape.input_spectrum,
         )
         np.testing.assert_array_equal(taped[0], plain[0])
         np.testing.assert_array_equal(taped[1], plain[1])
@@ -160,10 +167,12 @@ class TestConvBackwardKernel:
 
         def loss() -> float:
             return float(
-                np.sum(block_circulant_conv_forward(w, patches) * cot)
+                np.sum(im2col_conv_forward(w, patches) * cot)
             )
 
-        grad_w, grad_p = block_circulant_conv_backward(w, patches, cot)
+        grad_w, grad_p = block_circulant_conv_backward(
+            w, conv_patch_spectrum(patches), cot
+        )
         np.testing.assert_allclose(
             grad_w, numeric_gradient(loss, w), atol=1e-5
         )
@@ -175,9 +184,11 @@ class TestConvBackwardKernel:
         w = rng.normal(size=(4, 1, 2, 4))
         patches = rng.normal(size=(2, 4, 2, 4))
         grad = rng.normal(size=(2, 1, 4))
-        gw_np, gp_np = block_circulant_conv_backward(w, patches, grad)
+        gw_np, gp_np = block_circulant_conv_backward(
+            w, conv_patch_spectrum(patches), grad
+        )
         gw_r2, gp_r2 = block_circulant_conv_backward(
-            w, patches, grad, "radix2"
+            w, conv_patch_spectrum(patches, "radix2"), grad, "radix2"
         )
         np.testing.assert_allclose(gw_r2, gw_np, atol=1e-10)
         np.testing.assert_allclose(gp_r2, gp_np, atol=1e-10)
@@ -186,19 +197,18 @@ class TestConvBackwardKernel:
         w = rng.normal(size=(4, 2, 3, 4))
         patches = rng.normal(size=(6, 4, 3, 4))
         grad = rng.normal(size=(6, 2, 4))
+        spectrum = conv_patch_spectrum(patches)
         with pytest.raises(ShapeError):
-            block_circulant_conv_backward(w[0], patches, grad)
+            block_circulant_conv_backward(w[0], spectrum, grad)
         with pytest.raises(ShapeError):
-            block_circulant_conv_backward(w, patches[:, :2], grad)
+            block_circulant_conv_backward(w, spectrum[:, :2], grad)
         with pytest.raises(ShapeError):
-            block_circulant_conv_backward(w, patches, grad[:, :1])
+            block_circulant_conv_backward(w, spectrum, grad[:, :1])
         with pytest.raises(ShapeError):
-            block_circulant_conv_backward(w, patches[:4], grad)
-        with pytest.raises(ShapeError):
-            block_circulant_conv_backward(
-                w, patches, grad, cached_patch_spectrum=patches
-            )
-        with pytest.raises(ShapeError):  # no patches and no spectrum
+            block_circulant_conv_backward(w, spectrum[:4], grad)
+        with pytest.raises(ShapeError):  # time-domain blocks, not a spectrum
+            block_circulant_conv_backward(w, patches, grad)
+        with pytest.raises(ShapeError):  # no spectrum
             block_circulant_conv_backward(w, None, grad)
 
 
@@ -258,9 +268,7 @@ class TestConvLayerTape:
         # The layer gathers its patch spectrum from one rfft per pixel;
         # assert against a fresh kernel call on the im2col patch blocks.
         patch_blocks = conv_patch_blocks(layer, x)
-        ref_blocks = block_circulant_conv_forward(
-            layer.weight.value, patch_blocks
-        )
+        ref_blocks = im2col_conv_forward(layer.weight.value, patch_blocks)
         positions = out.shape[2] * out.shape[3]
         ref = ref_blocks.reshape(2 * positions, layer.pp * 2)[:, :5]
         ref = ref + layer.bias.value
@@ -319,9 +327,9 @@ class TestConvLayerTape:
             batch, out_channels, -1
         ).transpose(0, 2, 1).reshape(rows, out_channels)
         gw_ref, gp_ref = block_circulant_conv_backward(
-            layer.weight.value, tape.blocks, grad.reshape(rows, pp, k),
-            backend, cached_spectrum=tape.weight_spectrum,
-            cached_patch_spectrum=tape.input_spectrum,
+            layer.weight.value, tape.input_spectrum,
+            grad.reshape(rows, pp, k), backend,
+            cached_spectrum=tape.weight_spectrum,
         )
         cols = gp_ref.reshape(rows, field**2, -1)[:, :, :channels].reshape(
             batch, out_h * out_w, field, field, channels
@@ -418,12 +426,13 @@ class TestFirstLayerInputGradSkip:
         wc = rng.normal(size=(4, 2, 3, 4))
         patches = rng.normal(size=(6, 4, 3, 4))
         gradc = rng.normal(size=(6, 2, 4))
+        spectrum = conv_patch_spectrum(patches)
         gw, gp = block_circulant_conv_backward(
-            wc, patches, gradc, compute_patch_grad=False
+            wc, spectrum, gradc, compute_patch_grad=False
         )
         assert gp is None
         np.testing.assert_array_equal(
-            gw, block_circulant_conv_backward(wc, patches, gradc)[0]
+            gw, block_circulant_conv_backward(wc, spectrum, gradc)[0]
         )
 
     def test_sequential_stops_at_none_gradient(self, rng):
