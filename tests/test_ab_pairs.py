@@ -1,9 +1,11 @@
 """``tools/ab_pairs.py``'s per-metric pair count, ratio and verdict
-(choosing-metrics §8)."""
+(choosing-metrics §8), and the minor page faults it records per run."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import types
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -154,3 +156,46 @@ def test_head_against_head_is_never_better_or_worse(values, random):
     random.shuffle(change)
     verdict = ab_pairs.verdicts(_pairs(values, change), BOUNDED)
     assert set(verdict.values()) <= {"within bound", "unresolved"}
+
+
+def test_run_once_records_the_child_minor_faults(monkeypatch):
+    # getrusage(RUSAGE_CHILDREN) read around the run: the delta is the
+    # benchmark process's own minor faults, failed runs included.
+    readings = iter([1000, 1250, 1250, 1300])
+    monkeypatch.setattr(
+        ab_pairs.resource, "getrusage",
+        lambda who: types.SimpleNamespace(ru_minflt=next(readings)),
+    )
+    result = {"correct": True, "attempted": 3, "failed": 0,
+              "metrics": {"throughput_per_s": {"value": 9.0, "unit": "1/s"}}}
+    outputs = iter([(0, json.dumps(result)), (1, "")])
+
+    def fake_run(*args, **kwargs):
+        code, stdout = next(outputs)
+        return types.SimpleNamespace(returncode=code, stdout=stdout,
+                                     stderr="boom")
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    args = types.SimpleNamespace(workload="w", seed=1)
+    ok = ab_pairs.run_once(Path("."), ["bench"], 1.0, args)
+    assert ok["minor_faults"] == 250 and ok["metrics"] == {
+        "throughput_per_s": 9.0}
+    failed = ab_pairs.run_once(Path("."), ["bench"], 1.0, args)
+    assert failed["returncode"] == 1 and failed["minor_faults"] == 50
+
+
+def test_fault_medians_per_side_over_successful_runs():
+    runs = [
+        {"pair": 0, "side": "base", "returncode": 0, "minor_faults": 300},
+        {"pair": 0, "side": "change", "returncode": 0, "minor_faults": 10},
+        {"pair": 1, "side": "change", "returncode": 0, "minor_faults": 30},
+        {"pair": 1, "side": "base", "returncode": 0, "minor_faults": 100},
+        {"pair": 2, "side": "base", "returncode": 0, "minor_faults": 200},
+        # A failed run and a run recorded without faults are skipped.
+        {"pair": 2, "side": "change", "returncode": 1,
+         "minor_faults": 9999},
+        {"pair": 3, "side": "change", "returncode": 0},
+    ]
+    assert ab_pairs.fault_medians(runs) == {"base": 200, "change": 20}
+    assert ab_pairs.fault_medians(runs[:1]) == {"base": 300,
+                                                "change": None}

@@ -26,7 +26,10 @@ won in that metric's ``better`` direction (ties and failed runs win
 nothing; a gain needs at least 9 of 10) and the median over the pairs of
 the change/base ratio, and the verdict of :func:`verdicts` against the
 metric's ``BENCHMARK.json`` bound: better, worse, within bound or
-unresolved.
+unresolved. Each run also records its ``minor_faults``, the minor page
+faults the benchmark process took (``getrusage(RUSAGE_CHILDREN)``), and
+the tool prints each side's median, so allocator churn shows in every
+A/B.
 
 Standard library only.
 """
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -80,13 +84,16 @@ def measured_trees(tree: Path, paths: list[str]) -> dict:
 
 
 def run_once(tree: Path, command: list[str], seconds: float, args) -> dict:
-    """One benchmark run in ``tree``: its host record and result, or its
-    return code and stderr tail when it failed."""
+    """One benchmark run in ``tree``: its host record, result and minor
+    page faults, or its return code, stderr tail and faults when it
+    failed."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [*command, "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True,
     )
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = proc.stdout.strip().splitlines()
     host = next((json.loads(line[len("host "):]) for line in lines
                  if line.startswith("host ")), None)
@@ -96,10 +103,12 @@ def run_once(tree: Path, command: list[str], seconds: float, args) -> dict:
         result = None
     if proc.returncode != 0 or result is None:
         return {"host": host, "returncode": proc.returncode,
+                "minor_faults": faults,
                 "stderr_tail": proc.stderr.strip().splitlines()[-5:]}
     return {
         "host": host,
         "returncode": 0,
+        "minor_faults": faults,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
@@ -162,6 +171,19 @@ def _side_values(runs: list[dict], name: str, side: str) -> list:
     return [run["metrics"][name] for run in runs
             if run["side"] == side and run["returncode"] == 0
             and name in run["metrics"]]
+
+
+def fault_medians(runs: list[dict]) -> dict:
+    """``{side: median minor_faults}`` over each side's successful runs,
+    ``None`` for a side with none; runs recorded before the tool kept
+    faults are skipped."""
+    medians = {}
+    for side in ("base", "change"):
+        values = [run["minor_faults"] for run in runs
+                  if run["side"] == side and run["returncode"] == 0
+                  and "minor_faults" in run]
+        medians[side] = statistics.median(values) if values else None
+    return medians
 
 
 def verdicts(runs: list[dict], end_to_end: list[dict]) -> dict:
@@ -268,6 +290,9 @@ def main(argv=None) -> int:
             low, mid, high = statistics.quantiles(values, n=4)
             cells.append(f"{side} {mid:10.5g} [{low:10.5g}, {high:10.5g}]")
         print(f"{name:<18} {'  '.join(cells)} {units[name]}")
+    faults = fault_medians(runs)
+    print("minor page faults per run, median: "
+          + ", ".join(f"{side} {value}" for side, value in faults.items()))
     ratios = paired_ratios(runs, benchmark["end_to_end"])
     verdict = verdicts(runs, benchmark["end_to_end"])
     for name, (won, run) in pair_wins(runs, benchmark["end_to_end"]).items():
