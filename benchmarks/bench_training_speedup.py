@@ -29,7 +29,6 @@ from repro.circulant.ops import (
     block_circulant_backward,
     block_circulant_forward,
     partition_vector,
-    spectral_contract,
     unpartition_vector,
 )
 from repro.experiments.training_speedup import run_training_speedup
@@ -99,13 +98,16 @@ def _seed_conv_forward(layer, x):
     )
     # The im2col route: weight rfft, patch-block rfft in plane-major
     # (k, r², q, batch) memory (the layer's layout, so the same bits),
-    # the shared per-frequency GEMM, irfft.
+    # one (p, r²·q) @ (r²·q, batch·positions) GEMM per frequency, irfft.
     wf = be.rfft(layer.weight.value)
     pf = be.rfft(
         np.ascontiguousarray(patch_blocks.transpose(3, 1, 2, 0))
         .transpose(3, 1, 2, 0)
     )
-    y_blocks = be.irfft(spectral_contract(wf, pf), n=k)
+    s, p, q, f = wf.shape
+    lhs = np.ascontiguousarray(wf.transpose(3, 1, 0, 2)).reshape(f, p, s * q)
+    rhs = pf.transpose(3, 1, 2, 0).reshape(f, s * q, batch * positions)
+    y_blocks = be.irfft(np.matmul(lhs, rhs).transpose(2, 1, 0), n=k)
     out = y_blocks.reshape(batch * positions, layer.pp * k)
     out = out[:, : layer.out_channels]
     if layer.bias is not None:

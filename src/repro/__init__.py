@@ -40,6 +40,11 @@ from repro.errors import (
     StoreError,
     StoreIntegrityError,
 )
+from repro.utils.allocator import tune_malloc
+
+# Steady-state forwards reuse their heap memory instead of mapping and
+# faulting it in on every call (see repro.utils.allocator).
+tune_malloc()
 
 __version__ = "1.0.0"
 

@@ -10,8 +10,9 @@
   the two backward products, vectorised over a batch. FC
   (:func:`block_circulant_forward` / :func:`block_circulant_backward`)
   and CONV (the :class:`~repro.nn.BlockCirculantConv2D` forward /
-  :func:`block_circulant_conv_backward`) share one per-frequency BLAS
-  contraction, :func:`spectral_contract`, and take a
+  :func:`block_circulant_conv_backward`) run one per-frequency BLAS
+  contraction (:func:`spectral_contract` for FC, with the spatial offsets
+  folded into the contracted axis for CONV), and take a
   ``cached_spectrum=`` produced by :func:`weight_spectrum`. A recording
   forward keeps a :class:`SpectralTape` whose spectra the backward
   kernels reuse, so a train step runs one FFT per distinct tensor.

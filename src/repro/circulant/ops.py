@@ -22,17 +22,22 @@ the complex conjugate in the frequency domain, which is what we use.)
 
 The same structure covers the CONV layer (paper Eq. 7): at each of the
 ``r²`` spatial offsets the cross-channel weight matrix is block-circulant,
-and the offset axis folds into the contracted dimension, so FC and CONV
-share one spectral-contraction kernel, :func:`spectral_contract`. Because
-the circulant blocks run along the channel axis, every im2col patch block
-is one pixel's channel block (or zeros from padding), and
-``rfft(im2col(x))`` equals the im2col gather of the per-pixel ``rfft``:
-:func:`_patch_spectrum` transforms each pixel block of the feature map
-once and gathers the patch spectrum straight into the frequency-major
-GEMM operand, without ever building time-domain patches. Its pipeline is
-plane-major from the input pixels to the NCHW output (the transform axis
-outermost in memory), which the numpy backend transforms as one GEMM
-against its DFT table for ``k ≤ 8``.
+and the offset axis folds into the contracted dimension, so the CONV
+contraction, :func:`_contract_conv`, is the FC kernel's per-frequency
+GEMM (:func:`spectral_contract`) with ``r²·q`` columns. Because the
+circulant blocks run along the channel axis, every im2col patch block is
+one pixel's channel block (or zeros from padding), and
+``rfft(im2col(x))`` equals the im2col gather of the per-pixel ``rfft``.
+:func:`_conv_operand` transforms each pixel block of the feature map
+once and lowers the spectrum by rows, as MEC does (Cho & Brand 2017):
+one copy writes the ``r`` column shifts, r-fold rather than im2col's
+r²-fold, and a read-only overlapping view turns kernel row ``i`` into a
+row offset, so the GEMM reads every patch spectrum without building it
+(a map whose output rows are narrower than the weight spectrum is tall
+is gathered whole instead). Its pipeline is plane-major from the input
+pixels to the NCHW output (the transform axis outermost in memory),
+which the numpy backend transforms as one GEMM against its DFT table
+for ``k ≤ 8``.
 
 All functions accept an FFT ``backend`` name so every experiment can be
 replayed on the from-scratch radix-2 kernel, and a ``cached_spectrum=``
@@ -46,10 +51,10 @@ both gradients are per-frequency products of spectra the forward pass
 already computed). An FC forward called with ``record=True``
 returns a :class:`SpectralTape` carrying the weight and input spectra, and
 the backward kernels take them back (``cached_spectrum=`` /
-``cached_input_spectrum=``; the CONV backward takes the patch spectrum
-its layer recorded as an argument), so one full train step performs
-exactly one FFT per distinct tensor: ``w``, ``x`` (for the CONV layer,
-its pixel blocks), and the output gradient.
+``cached_input_spectrum=``, with no time-domain input blocks; the CONV
+backward takes the patch spectrum its layer recorded as an argument), so
+one full train step performs exactly one FFT per distinct tensor: ``w``,
+``x`` (for the CONV layer, its pixel blocks), and the output gradient.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import ShapeError
 from repro.fftcore.backend import get_backend
@@ -121,13 +126,9 @@ class SpectralTape:
     the forward pass already computed. The tape is the record that carries
     them across the forward/backward boundary:
 
-    - ``blocks`` — the FC layer's time-domain input blocks
-      ``(batch, q, k)``; ``None`` on a CONV tape, whose patch spectrum is
-      gathered from the per-pixel transform without time-domain patches;
-    - ``input_spectrum`` — ``rfft`` of the input blocks (FC), reusable as
-      ``cached_input_spectrum=``, or the gathered patch spectrum (CONV),
-      the ``patch_spectrum`` argument of
-      :func:`block_circulant_conv_backward`;
+    - ``input_spectrum`` — ``rfft`` of the FC input blocks, reusable as
+      ``cached_input_spectrum=``, or the patch spectrum (CONV), the
+      ``patch_spectrum`` argument of :func:`block_circulant_conv_backward`;
     - ``weight_spectrum`` — the ``rfft(w)`` the forward actually used
       (possibly served from a
       :class:`~repro.circulant.spectral_cache.SpectralWeightCache`),
@@ -135,12 +136,13 @@ class SpectralTape:
       backward is also the mathematically right thing: the gradient is of
       the forward that ran, not of whatever the weights are now.
 
-    With a tape, a full train step costs exactly one FFT per distinct
-    tensor — ``w``, ``x`` (CONV: its pixel blocks), and the output
-    gradient — instead of recomputing the first two in backward.
+    Neither kernel's backward reads time-domain inputs once it has their
+    spectrum, so the tape keeps none. With a tape, a full train step costs
+    exactly one FFT per distinct tensor — ``w``, ``x`` (CONV: its pixel
+    blocks), and the output gradient — instead of recomputing the first
+    two in backward.
     """
 
-    blocks: np.ndarray | None
     input_spectrum: np.ndarray
     weight_spectrum: np.ndarray
 
@@ -166,21 +168,14 @@ def weight_spectrum(w: np.ndarray, backend=None) -> np.ndarray:
 
 
 def spectral_contract(wf: np.ndarray, xf: np.ndarray) -> np.ndarray:
-    """The one spectral-contraction kernel shared by the FC and CONV layers.
+    """The FC spectral contraction (Algorithm 1), one GEMM per frequency.
 
-    Evaluates the half-spectrum weight/activation product as one complex
-    BLAS GEMM per frequency bin, arranged frequency-major:
-
-    - **FC** (Algorithm 1): ``wf`` has shape ``(p, q, f)``, ``xf`` has
-      shape ``(batch, q, f)``, and the result ``(batch, p, f)`` equals the
-      einsum ``"pqf,bqf->bpf"`` — evaluated as ``(f, p, q) @ (f, q, batch)``.
-    - **CONV** (paper Eq. 7): ``wf`` has shape ``(r², p, q, f)`` — one
-      cross-channel block grid per spatial offset — ``xf`` has shape
-      ``(batch, r², q, f)``, and the result ``(batch, p, f)`` equals the
-      einsum ``"sijf,bsjf->bif"``. The spatial-offset axis folds into the
-      contracted dimension, so the CONV product is the *same*
-      frequency-major GEMM with ``r²·q`` columns — which is what lets one
-      kernel (and one cached-spectrum layout) serve both layer types.
+    ``wf`` has shape ``(p, q, f)``, ``xf`` has shape ``(batch, q, f)``,
+    and the result ``(batch, p, f)`` equals the einsum
+    ``"pqf,bqf->bpf"`` — evaluated frequency-major, as one complex BLAS
+    GEMM ``(p, q) @ (q, batch)`` per frequency bin. The CONV layer runs
+    the same GEMM with the spatial offsets folded into the contracted
+    axis (:func:`_contract_conv`).
 
     When ``wf`` comes from
     :class:`~repro.circulant.spectral_cache.SpectralWeightCache` its memory
@@ -191,36 +186,17 @@ def spectral_contract(wf: np.ndarray, xf: np.ndarray) -> np.ndarray:
     so its rounding) by operand strides, and the layout is what keeps a
     compiled forward bit-identical to the uncompiled one.
     """
-    if wf.ndim == 3:
-        if xf.ndim != 3 or xf.shape[1:] != wf.shape[1:]:
-            raise ShapeError(
-                f"activation spectrum must be (batch, {wf.shape[1]}, "
-                f"{wf.shape[2]}), got {xf.shape}"
-            )
-        # (f, p, q) @ (f, q, batch) -> (f, p, batch).
-        lhs = np.ascontiguousarray(wf.transpose(2, 0, 1))
-        af = np.matmul(lhs, xf.transpose(2, 1, 0))
-        return af.transpose(2, 1, 0)
-    if wf.ndim == 4:
-        s, p, q, f = wf.shape
-        if xf.ndim != 4 or xf.shape[1:] != (s, q, f):
-            raise ShapeError(
-                f"activation spectrum must be (batch, {s}, {q}, {f}), "
-                f"got {xf.shape}"
-            )
-        batch = xf.shape[0]
-        # Fold (offset, block-column) into one contracted axis of length
-        # s*q: (f, p, s*q) @ (f, s*q, batch) -> (f, p, batch). A cached
-        # spectrum is already contiguous here; a fresh one is copied,
-        # since with p = 1 the reshape alone would leave a strided view.
-        lhs = np.ascontiguousarray(wf.transpose(3, 1, 0, 2)).reshape(
-            f, p, s * q
+    if wf.ndim != 3:
+        raise ShapeError(f"weight spectrum must be (p, q, f), got {wf.shape}")
+    if xf.ndim != 3 or xf.shape[1:] != wf.shape[1:]:
+        raise ShapeError(
+            f"activation spectrum must be (batch, {wf.shape[1]}, "
+            f"{wf.shape[2]}), got {xf.shape}"
         )
-        rhs = xf.transpose(3, 1, 2, 0).reshape(f, s * q, batch)
-        return np.matmul(lhs, rhs).transpose(2, 1, 0)
-    raise ShapeError(
-        f"weight spectrum must be (p, q, f) or (r², p, q, f), got {wf.shape}"
-    )
+    # (f, p, q) @ (f, q, batch) -> (f, p, batch).
+    lhs = np.ascontiguousarray(wf.transpose(2, 0, 1))
+    af = np.matmul(lhs, xf.transpose(2, 1, 0))
+    return af.transpose(2, 1, 0)
 
 
 def block_circulant_forward(
@@ -253,7 +229,7 @@ def block_circulant_forward(
     be = get_backend(backend)
     w = np.asarray(w, dtype=np.float64)
     x_blocks = np.asarray(x_blocks, dtype=np.float64)
-    _check_block_shapes(w, x_blocks)
+    _check_block_shapes(w, x_blocks.shape)
     k = w.shape[-1]
     if cached_spectrum is None:
         wf = be.rfft(w)
@@ -269,7 +245,7 @@ def block_circulant_forward(
     xf = np.ascontiguousarray(xf.transpose(2, 1, 0)).transpose(2, 1, 0)
     out = be.irfft(spectral_contract(wf, xf), n=k)
     if record:
-        return out, SpectralTape(x_blocks, xf, wf)
+        return out, SpectralTape(xf, wf)
     return out
 
 
@@ -288,26 +264,47 @@ def _channel_blocks(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return head.swapaxes(0, 2), a[:, full:].swapaxes(0, 1)
 
 
-def _patch_spectrum(x: np.ndarray, field: int, stride: int, padding: int,
-                    q: int, k: int, backend=None) -> np.ndarray:
-    """``rfft`` of the im2col patch blocks of an NCHW batch, one rfft per pixel.
+def _conv_operand(x: np.ndarray, field: int, stride: int, padding: int,
+                  q: int, k: int, p: int, backend=None) -> np.ndarray:
+    """The CONV GEMM operand: the per-pixel ``rfft`` of an NCHW batch,
+    lowered by rows, or gathered whole when the map is small.
 
-    Each patch block is one pixel's ``k``-channel block or padding zeros,
-    and ``rfft(0) = 0``, so transforming the pixel blocks of the padded
-    input once and gathering the ``r²`` shifted windows gives ``rfft`` of
-    the patch blocks bit for bit, at about ``1/r²`` of the transformed
-    elements.
+    Each im2col patch block is one pixel's ``k``-channel block or padding
+    zeros, and ``rfft(0) = 0``, so the pixel blocks of the padded input
+    are transformed once, at about ``1/r²`` of the patch blocks'
+    transformed elements. They are stored plane-major, ``(k, q, batch,
+    H+2·padding, W+2·padding)`` memory, filled from NCHW by one strided
+    assignment, so the numpy backend transforms them as one GEMM against
+    its DFT table.
 
-    The pixel blocks are stored plane-major, ``(k, q, batch, H+2·padding,
-    W+2·padding)`` memory, filled from NCHW by one strided assignment, so
-    the numpy backend transforms them as one GEMM against its DFT table
-    and returns the spectrum in ``(f, q, batch, H+2·padding, W+2·padding)``
-    memory; the window gather then copies contiguous output-row runs.
+    One copy then lowers that spectrum into the ``(f, groups, r²·q, N)``
+    operand of :func:`_contract_conv`, whose ``(r²·q, N)`` matrices hold,
+    along an ``(i, j, c)`` offset/channel-block axis, the patch spectra
+    of the output pixels of one group of output rows, batch folded in:
 
-    Returns the ``(batch·positions, r², q, f)`` view over
-    ``(f, r², q, batch·positions)``-contiguous memory, which
-    :func:`spectral_contract` folds into its GEMM operand and
-    :func:`block_circulant_conv_backward` reads back without a copy.
+    - **Rows** (``groups = out_h``), as MEC lowers a dense convolution
+      (Cho & Brand 2017): the copy writes the ``r`` column shifts into
+      ``(f, H+2·padding, r, q, N)`` memory, ``rows[f, y, j, c, b·out_w +
+      x] = rfft(pixels)[c, b, y, stride·x + j, f]``, and the result is the
+      read-only overlapping view of that memory in which kernel row ``i``
+      is a row offset: its ``(i, j, c)`` axis has the single stride ``N``
+      and its output-row axis the stride of ``stride`` rows. That is
+      r-fold memory where the patch spectrum is r²-fold.
+    - **Gathered** (``groups = 1``): the copy writes the r² shifted
+      windows, every output pixel a column in ``(b, y, x)`` order. Taken
+      when an output row has fewer pixels than the weight spectrum has
+      rows, ``batch·out_w < p``: each of the contraction's per-row GEMMs
+      packs the whole ``(p, r²·q)`` weight spectrum again, which then
+      costs more than copying the row's patch spectra.
+
+    ``N`` is the group's pixel count zero-padded to a multiple of 4 (at
+    least 4): single-threaded OpenBLAS gives a GEMM column the same bits
+    wherever it sits in an operand of such a width, and a width of 1
+    would go to gemv, so on one BLAS thread an output pixel's bits depend
+    neither on its batch nor on the lowering. (A threaded GEMM splits a
+    contraction longer than its K block, 128 for zgemm on Haswell, at
+    other points, and OpenBLAS threads only large GEMMs; so with several
+    BLAS threads and ``r²·q > 128`` the batch can move the last bit.)
     """
     be = get_backend(backend)
     batch, _, height, width = x.shape
@@ -320,12 +317,92 @@ def _patch_spectrum(x: np.ndarray, field: int, stride: int, padding: int,
     if tail.size:
         interior[:tail.shape[0], head.shape[1]] = tail
     xf = be.rfft(pixels.transpose(1, 2, 3, 4, 0))
-    # (q, batch, out_h, out_w, f, r, r) window view, then one strided
-    # copy into frequency-major (f, r, r, q, batch, out_h, out_w) memory.
-    windows = sliding_window_view(xf, (field, field), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    pf = np.ascontiguousarray(windows.transpose(4, 5, 6, 0, 1, 2, 3))
-    return pf.reshape(pf.shape[0], field * field, q, -1).transpose(3, 1, 2, 0)
+    q, batch, rows_h, cols_w, f = xf.shape
+    out_h = (rows_h - field) // stride + 1
+    out_w = (cols_w - field) // stride + 1
+    # Stride views of the spectrum are built directly: sliding_window_view
+    # alone costs about as much as the copy on a small image.
+    sq, sb, sy, sx, sf = xf.strides
+    if batch * out_w < p:
+        used = batch * out_h * out_w
+        cols = np.zeros((f, field, field, q, -(-used // 4) * 4),
+                        dtype=xf.dtype)
+        cols[..., :used].reshape(
+            f, field, field, q, batch, out_h, out_w
+        )[...] = as_strided(
+            xf, (f, field, field, q, batch, out_h, out_w),
+            (sf, sy, sx, sq, sb, stride * sy, stride * sx), writeable=False,
+        )
+        return cols.reshape(f, 1, field * field * q, -1)
+    used = batch * out_w
+    n = max(4, -(-used // 4) * 4)
+    # Zeroed whole when padded: the pad columns alone would be a strided
+    # fill with as many inner loops as the copy below.
+    rows = (np.zeros if used < n else np.empty)(
+        (f, rows_h, field, q, n), dtype=xf.dtype
+    )
+    rows[..., :used].reshape(f, rows_h, field, q, batch, out_w)[...] = (
+        as_strided(xf, (f, rows_h, field, q, batch, out_w),
+                   (sf, sy, sx, sq, sb, stride * sx), writeable=False)
+    )
+    item = rows.itemsize
+    view = np.ndarray(
+        (f, out_h, field * field * q, n), rows.dtype, rows, 0,
+        (rows.strides[0], stride * rows.strides[1], n * item, item),
+    )
+    view.flags.writeable = False
+    return view
+
+
+def _contract_conv(wf: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """The CONV spectral contraction (paper Eq. 7) over a lowered operand.
+
+    ``wf`` has shape ``(r², p, q, f)`` — one cross-channel block grid per
+    spatial offset — and ``operand`` is the ``(f, groups, r²·q, N)``
+    operand of :func:`_conv_operand`. The offset axis folds into the
+    contracted dimension, so this is :func:`spectral_contract`'s
+    frequency-major GEMM with ``r²·q`` columns, one ``(p, r²·q) @ (r²·q,
+    N)`` per frequency and group of output rows, equal to the einsum
+    ``"sijf,bsjf->bif"`` over the patch spectra. A row operand is read
+    as the view it is, without an r²-fold copy.
+
+    Returns the ``(groups, p, N, f)`` view over ``(f, groups, p, N)``
+    memory, plane-major for the inverse transform. A cached ``wf`` is
+    already frequency-major here; a fresh one is copied, since with
+    ``p = 1`` the reshape alone would leave a strided view.
+    """
+    s, p, q, f = wf.shape
+    if (operand.ndim != 4 or operand.shape[0] != f
+            or operand.shape[2] != s * q):
+        raise ShapeError(
+            f"CONV operand must be ({f}, groups, {s * q}, N), "
+            f"got {operand.shape}"
+        )
+    lhs = np.ascontiguousarray(wf.transpose(3, 1, 0, 2)).reshape(
+        f, 1, p, s * q
+    )
+    return np.matmul(lhs, operand).transpose(1, 2, 3, 0)
+
+
+def _patch_tape(operand: np.ndarray, batch: int, out_h: int, out_w: int,
+                field: int) -> np.ndarray:
+    """The patch spectrum of :func:`_conv_operand`'s operand in the layout
+    :func:`block_circulant_conv_backward` reads: the ``(batch·positions,
+    r², q, f)`` view over ``(f, r², q, batch·positions)`` memory, rows in
+    ``(b, y, x)`` order. One copy; the recording forward's tape."""
+    f, groups, _, _ = operand.shape
+    view = operand[..., :batch * out_h // groups * out_w].reshape(
+        f, groups, field * field, -1, batch, out_h // groups, out_w
+    )
+    tape = np.empty(
+        (f, field * field, view.shape[3], batch, groups, out_h // groups,
+         out_w),
+        dtype=operand.dtype,
+    )
+    tape[...] = view.transpose(0, 2, 3, 4, 1, 5, 6)
+    return tape.reshape(f, field * field, view.shape[3], -1).transpose(
+        3, 1, 2, 0
+    )
 
 
 def block_circulant_backward(
@@ -346,7 +423,9 @@ def block_circulant_backward(
     w:
         Defining vectors ``(p, q, k)``.
     x_blocks:
-        Forward input blocks ``(batch, q, k)``.
+        Forward input blocks ``(batch, q, k)``, or ``None`` when
+        ``cached_input_spectrum`` is given: only the spectrum is read then,
+        so a tape need not keep the blocks.
     grad_blocks:
         ``∂L/∂a`` blocks, shape ``(batch, p, k)``.
     cached_spectrum:
@@ -381,18 +460,26 @@ def block_circulant_backward(
     """
     be = get_backend(backend)
     w = np.asarray(w, dtype=np.float64)
-    x_blocks = np.asarray(x_blocks, dtype=np.float64)
     grad_blocks = np.asarray(grad_blocks, dtype=np.float64)
-    _check_block_shapes(w, x_blocks)
+    if x_blocks is not None:
+        x_blocks = np.asarray(x_blocks, dtype=np.float64)
+        input_shape = x_blocks.shape
+    elif cached_input_spectrum is not None:
+        # The spectrum's batch and the weights' (q, k) stand in for the
+        # blocks; _check_spectrum_shape below pins the rest.
+        input_shape = (*np.shape(cached_input_spectrum)[:1], *w.shape[1:])
+    else:
+        raise ShapeError("x_blocks=None needs cached_input_spectrum=")
+    _check_block_shapes(w, input_shape)
     p, q, k = w.shape
     if grad_blocks.shape[1:] != (p, k):
         raise ShapeError(
             f"grad blocks must be (batch, {p}, {k}), got {grad_blocks.shape}"
         )
-    if grad_blocks.shape[0] != x_blocks.shape[0]:
+    if grad_blocks.shape[0] != input_shape[0]:
         raise ShapeError(
             "grad batch "
-            f"{grad_blocks.shape[0]} != input batch {x_blocks.shape[0]}"
+            f"{grad_blocks.shape[0]} != input batch {input_shape[0]}"
         )
     if cached_spectrum is None:
         wf = be.rfft(w)
@@ -403,7 +490,7 @@ def block_circulant_backward(
         xf = be.rfft(x_blocks)
     else:
         xf = cached_input_spectrum
-        _check_spectrum_shape(xf, x_blocks.shape)
+        _check_spectrum_shape(xf, input_shape)
     if cached_grad_spectrum is None:
         gf = be.rfft(grad_blocks)
     else:
@@ -444,7 +531,7 @@ def block_circulant_conv_backward(
     conjugated patch spectra) and ``"sijf,bif->bsjf"`` (patch gradient,
     against the conjugated weight spectra) — as frequency-major
     per-frequency BLAS GEMMs, the exact formulation
-    :func:`spectral_contract` gives the forward pass: the spatial-offset
+    :func:`_contract_conv` gives the forward pass: the spatial-offset
     axis folds into the contracted/output dimension of length ``r²·q``.
 
     Parameters
@@ -455,7 +542,7 @@ def block_circulant_conv_backward(
         ``rfft`` of the forward's patch blocks, shape
         ``(batch·positions, r², q, k//2 + 1)`` — the ``input_spectrum``
         of the :class:`SpectralTape` the layer's recording forward kept
-        (:func:`_patch_spectrum`), whose frequency-major memory the
+        (:func:`_patch_tape`), whose frequency-major memory the
         weight-gradient GEMM reads as a pure stride view.
     grad_blocks:
         ``∂L/∂y`` output channel blocks, shape ``(batch·positions, p, k)``.
@@ -497,7 +584,7 @@ def block_circulant_conv_backward(
     # using G ∘ conj(P) = conj(conj(G) ∘ P) so only the small grad
     # spectrum and the small result are conjugate-copied, never the large
     # patch spectrum — whose frequency-major tape memory
-    # (:func:`_patch_spectrum`) makes the rhs below a pure stride view.
+    # (:func:`_patch_tape`) makes the rhs below a pure stride view.
     grad_wf = np.conj(np.matmul(
         np.conj(gf.transpose(2, 1, 0)),
         pf.transpose(3, 0, 1, 2).reshape(f, batch, s * q),
@@ -551,15 +638,15 @@ def _check_spectrum_shape(spectrum: np.ndarray,
         )
 
 
-def _check_block_shapes(w: np.ndarray, x_blocks: np.ndarray) -> None:
+def _check_block_shapes(w: np.ndarray, input_shape: tuple[int, ...]) -> None:
     if w.ndim != 3:
         raise ShapeError(f"weights must be (p, q, k), got shape {w.shape}")
-    if x_blocks.ndim != 3:
+    if len(input_shape) != 3:
         raise ShapeError(
-            f"inputs must be (batch, q, k), got shape {x_blocks.shape}"
+            f"inputs must be (batch, q, k), got shape {input_shape}"
         )
     p, q, k = w.shape
-    if x_blocks.shape[1:] != (q, k):
+    if input_shape[1:] != (q, k):
         raise ShapeError(
-            f"input blocks must be (batch, {q}, {k}), got {x_blocks.shape}"
+            f"input blocks must be (batch, {q}, {k}), got {input_shape}"
         )

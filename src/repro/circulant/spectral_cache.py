@@ -122,8 +122,9 @@ class SpectralWeightCache:
         ``(r², p, q, k)`` for a CONV layer. The returned array is
         read-only, replaces the last axis with ``k//2 + 1`` complex bins,
         and is laid out frequency-major in memory so the per-frequency
-        GEMM of :func:`repro.circulant.ops.spectral_contract` consumes it
-        with zero copies.
+        GEMM of :func:`repro.circulant.ops.spectral_contract` (FC) or
+        :func:`repro.circulant.ops._contract_conv` (CONV) consumes it with
+        zero copies.
         """
         be = get_backend(backend)
         pid = id(param)
@@ -155,7 +156,7 @@ class SpectralWeightCache:
             ).transpose(1, 2, 0)
         elif spectrum.ndim == 4:
             # CONV spectra (r², p, q, f): store (f, p, r², q)-contiguous
-            # memory behind the natural view, so spectral_contract's
+            # memory behind the natural view, so _contract_conv's
             # transpose(3, 1, 0, 2).reshape(f, p, r²·q) is a zero-copy
             # view straight into the per-frequency GEMM.
             spectrum = np.ascontiguousarray(

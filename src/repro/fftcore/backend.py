@@ -80,7 +80,7 @@ def _table_operand(x: np.ndarray, dtype, length: int):
     if (strides[-1] != max(strides) or x.dtype != dtype
             or x.shape[-1] != length or x.size == 0):
         return None
-    # Every axis reversed is the layout the GEMMs of spectral_contract
+    # Every axis reversed is the layout the spectral-contraction GEMMs
     # hand to irfft; checked first because a small call's cost is its
     # Python steps. ``transpose(None)`` reverses the axes back.
     plane = x.T

@@ -18,13 +18,26 @@ The circulant structure lies on the channel axis (as in CircConv), so an
 im2col patch block is one pixel's ``k``-channel block, or zeros from the
 padding. Since ``rfft`` acts per block and ``rfft(0) = 0``, the patch
 spectrum is the im2col gather of the per-pixel spectrum: the forward
-transforms each pixel block of the zero-padded feature map once and
-gathers the ``r²`` shifted windows straight into the frequency-major GEMM
-operand, never materialising real-domain patches. The result is
-bit-identical to ``rfft`` of the im2col patch blocks at about ``1/r²`` of
-the forward FFT work. (The op-count model,
+transforms each pixel block of the zero-padded feature map once, at about
+``1/r²`` of the forward FFT work of transforming the patches, and never
+materialises real-domain patches. (The op-count model,
 :func:`repro.analysis.complexity.block_circulant_conv_work`, keeps the
 paper's per-patch count.)
+
+Nor does serving materialise the r²-fold patch spectrum. The pixel
+spectrum is lowered by rows, as MEC lowers a dense convolution (Cho &
+Brand 2017): one copy writes its ``r`` column shifts, the batch folded
+into the GEMM columns, and a read-only overlapping view exposes each
+output row's ``(r²·q, N)`` patch spectrum at one stride
+(:func:`repro.circulant.ops._conv_operand`). The contraction is one
+``(p, r²·q) @ (r²·q, N)`` GEMM per frequency and output row. Each of
+those GEMMs packs the weight spectrum again, so when an output row has
+fewer pixels than the weight spectrum has rows (a small map in a small
+batch) the r² shifted windows are gathered instead, small then, and
+contracted in one GEMM per frequency. ``N`` is padded to a multiple of
+4, so on one BLAS thread an image's output bits depend neither on its
+batch nor on the lowering. A recording forward copies the operand once
+into the patch spectrum the backward reads.
 
 The whole forward is plane-major — the transform axis outermost in
 memory — from the pixel blocks, filled straight from NCHW, through the
@@ -41,10 +54,11 @@ import numpy as np
 from repro.circulant.ops import (
     SpectralTape,
     _channel_blocks,
-    _patch_spectrum,
+    _contract_conv,
+    _conv_operand,
+    _patch_tape,
     block_circulant_conv_backward,
     block_dims,
-    spectral_contract,
     weight_spectrum,
 )
 from repro.errors import ConfigurationError, ShapeError
@@ -65,6 +79,16 @@ class BlockCirculantConv2D(Module):
     parameter count by ``k``. A spectral leaf, like
     :class:`~repro.nn.BlockCirculantDense`: the ``(r², p, q)`` weight
     spectrum is served from the cache the module-tree walk binds.
+
+    ``forward`` and ``inference_forward`` run one pipeline: one ``rfft``
+    of the padded map's pixel blocks, the r-fold row spectrum (or, when
+    ``batch·out_w`` is below the ``p`` weight-block rows, the gathered
+    patch spectrum), one ``(p, r²·q) @ (r²·q, N)`` GEMM per frequency and
+    output row (or per frequency) over its ``N`` output pixels padded to
+    a multiple of 4, one ``irfft``, and the NCHW store with the bias.
+    They return the same bits, and on one BLAS thread an image's row of
+    the output the same bits in any batch; ``forward`` also copies the
+    patch spectrum onto the tape.
     """
 
     spectral = True
@@ -169,25 +193,31 @@ class BlockCirculantConv2D(Module):
         batch = x.shape[0]
         out_h, out_w = self.output_shape(x.shape[2], x.shape[3])
         k = self.block_size
-        # Same per-frequency GEMM as BlockCirculantDense; the patch
-        # spectrum comes from one rfft per pixel block, never from im2col.
-        pf = _patch_spectrum(
-            x, self.field, self.stride, self.padding, self.qc, k, be
+        # Same per-frequency GEMM as BlockCirculantDense, one per group of
+        # output rows; the operand comes from one rfft per pixel block.
+        operand = _conv_operand(
+            x, self.field, self.stride, self.padding, self.qc, k, self.pp, be
         )
         wf = self._weight_spectrum()
         if wf is None:
             wf = weight_spectrum(self.weight.value, be)
-        y_blocks = be.irfft(spectral_contract(wf, pf), n=k)
+        y_blocks = be.irfft(_contract_conv(wf, operand), n=k)
         if record:
             self._input_shape = x.shape
             self._geometry = (batch, out_h, out_w)
-            self._tape = SpectralTape(None, pf, wf)
+            self._tape = SpectralTape(
+                _patch_tape(operand, batch, out_h, out_w, self.field), wf
+            )
         # (k, p, batch, out_h, out_w) view of the output blocks — the
-        # irfft's own plane-major memory on the numpy backend — stored
-        # into NCHW with the bias added on the way.
-        blocks = y_blocks.reshape(
-            batch, out_h, out_w, self.pp, k
-        ).transpose(4, 3, 0, 1, 2)
+        # irfft's own plane-major (k, groups, p, N) memory on the numpy
+        # backend, padding columns dropped; groups or out_h // groups is
+        # 1 — stored into NCHW with the bias added on the way.
+        groups = y_blocks.shape[0]
+        blocks = y_blocks[:, :, :batch * out_h // groups * out_w].reshape(
+            groups, self.pp, batch, out_h // groups, out_w, k
+        ).transpose(5, 1, 2, 0, 3, 4).reshape(
+            k, self.pp, batch, out_h, out_w
+        )
         out = np.empty((batch, self.out_channels, out_h, out_w))
         head, tail = _channel_blocks(out, k)
         stores = [(head, blocks[:, :head.shape[1]])]
@@ -237,7 +267,7 @@ class BlockCirculantConv2D(Module):
         # Replay the tape: the weight and patch spectra were recorded by
         # forward, so rfft(grad) is the step's only new FFT, and both
         # gradient contractions run as the same frequency-major
-        # per-frequency GEMMs as the forward spectral_contract.
+        # per-frequency GEMMs as the forward contraction.
         grad_w, grad_pblocks = block_circulant_conv_backward(
             self.weight.value, self._tape.input_spectrum, grad_blocks, be,
             cached_spectrum=self._tape.weight_spectrum,

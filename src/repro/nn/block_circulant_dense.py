@@ -111,8 +111,8 @@ class BlockCirculantDense(Module):
         One sequence for training and serving: partition the rows into
         ``k``-blocks → :func:`~repro.circulant.ops.block_circulant_forward`
         → drop the padded output rows. ``record`` only decides whether
-        the :class:`~repro.circulant.ops.SpectralTape` (input blocks plus
-        the weight and input spectra this forward computed) is kept for
+        the :class:`~repro.circulant.ops.SpectralTape` (the weight and
+        input spectra this forward computed, no input blocks) is kept for
         ``backward``; ``forward`` and ``inference_forward`` return the
         same bits.
         """
@@ -159,12 +159,12 @@ class BlockCirculantDense(Module):
         # Replay the tape: both spectra Eq. 8-9 need besides rfft(grad)
         # were recorded by forward, so this is the step's only new FFT.
         grad_w, grad_x_blocks = block_circulant_backward(
-            self.weight.value, self._tape.blocks, grad_blocks, self.backend,
+            self.weight.value, None, grad_blocks, self.backend,
             cached_spectrum=self._tape.weight_spectrum,
             cached_input_spectrum=self._tape.input_spectrum,
             compute_input_grad=self.needs_input_grad,
         )
-        # The tape (blocks + batch-sized complex spectrum) is consumed;
+        # The tape (a batch-sized complex spectrum) is consumed;
         # release it rather than pinning the memory across the optimiser
         # step and beyond.
         self._tape = None

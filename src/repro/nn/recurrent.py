@@ -158,11 +158,10 @@ class _BlockCirculantRecurrent(StatefulModule):
         transformed once per distinct FFT backend among them — one
         ``rfft`` in the homogeneous case — and each gate then costs only
         its spectral contraction and inverse transform. Returns
-        ``(outs, blocks_by_backend, spectra_by_backend)`` so recording
-        callers can keep what the BPTT tape needs.
+        ``(outs, spectra_by_backend)`` so recording callers can keep the
+        input spectra the BPTT tape needs.
         """
         outs: dict[str, np.ndarray] = {}
-        blocks_out: dict[str, np.ndarray] = {}
         rf_out: dict[str, np.ndarray] = {}
         groups: dict[str, tuple] = {}
         for name in names:
@@ -173,7 +172,6 @@ class _BlockCirculantRecurrent(StatefulModule):
                 rows, self.block_size, getattr(self, members[0]).q
             )
             rf = be.rfft(blocks)
-            blocks_out[be.name] = blocks
             rf_out[be.name] = rf
             for name in members:
                 gate = getattr(self, name)
@@ -187,7 +185,7 @@ class _BlockCirculantRecurrent(StatefulModule):
                 if gate.bias is not None:
                     out = out + gate.bias.value
                 outs[name] = out
-        return outs, blocks_out, rf_out
+        return outs, rf_out
 
     def _common_backend(self):
         """The single FFT backend shared by every gate — required on the
@@ -224,12 +222,12 @@ class _BlockCirculantRecurrent(StatefulModule):
         gradients contract the recorded input spectrum as-is."""
         batch, steps, _ = x.shape
         flat = x.transpose(1, 0, 2).reshape(steps * batch, self.in_features)
-        outs, blocks, rf = self._project_rows(flat, self.X_GATES, spectra)
+        outs, rf = self._project_rows(flat, self.X_GATES, spectra)
         ax = {
             name: outs[name].reshape(steps, batch, self.hidden_size)
             for name in self.X_GATES
         }
-        return ax, blocks, rf
+        return ax, rf
 
     # -- deferred BPTT gradient plumbing --------------------------------------
     def _apply_deferred_grads(self, tape: dict, da: dict[str, np.ndarray],
@@ -246,9 +244,9 @@ class _BlockCirculantRecurrent(StatefulModule):
         """
         batch, steps = tape["shape"]
         k = self.block_size
-        for gates, keys, blocks_key, spec_key in (
-            (self.X_GATES, self._X_KEYS, "x_blocks", "xf"),
-            (self.H_GATES, self._H_KEYS, "h_blocks", "hf"),
+        for gates, keys, spec_key in (
+            (self.X_GATES, self._X_KEYS, "xf"),
+            (self.H_GATES, self._H_KEYS, "hf"),
         ):
             for name, key in zip(gates, keys):
                 gate = getattr(self, name)
@@ -256,7 +254,7 @@ class _BlockCirculantRecurrent(StatefulModule):
                 if gate.bias is not None:
                     gate.bias.grad += flat.sum(axis=0)
                 grad_w, _ = block_circulant_backward(
-                    gate.weight.value, tape[blocks_key],
+                    gate.weight.value, None,
                     partition_vector(flat, k, gate.p), gate.backend,
                     cached_spectrum=tape["spectra"][name],
                     cached_input_spectrum=tape[spec_key],
@@ -336,10 +334,10 @@ class BlockCirculantLSTM(_BlockCirculantRecurrent):
         batch, steps, _ = x.shape
         h, c = self._check_state(state, batch)
         spectra = self._gate_spectra()
-        ax, _, _ = self._batched_x_preacts(x, spectra)
+        ax, _ = self._batched_x_preacts(x, spectra)
         ys = np.empty((batch, steps, self.hidden_size))
         for t in range(steps):
-            ah, _, _ = self._project_rows(h, self.H_GATES, spectra)
+            ah, _ = self._project_rows(h, self.H_GATES, spectra)
             gi = _sigmoid(ax["xi"][t] + ah["hi"])
             gf = _sigmoid(ax["xf"][t] + ah["hf"])
             gg = np.tanh(ax["xg"][t] + ah["hg"])
@@ -358,8 +356,7 @@ class BlockCirculantLSTM(_BlockCirculantRecurrent):
         spectra = self._gate_spectra()
         k = self.block_size
         q_h = self.hi.q
-        ax, x_blocks, xf_rec = self._batched_x_preacts(x, spectra)
-        h_blocks = np.empty((steps * batch, q_h, k))
+        ax, xf_rec = self._batched_x_preacts(x, spectra)
         hf_stack = np.empty(
             (steps * batch, q_h, k // 2 + 1), dtype=np.complex128
         )
@@ -369,8 +366,7 @@ class BlockCirculantLSTM(_BlockCirculantRecurrent):
         }
         ys = np.empty((batch, steps, self.hidden_size))
         for t in range(steps):
-            ah, hb, hf = self._project_rows(h, self.H_GATES, spectra)
-            h_blocks[t * batch:(t + 1) * batch] = hb[be.name]
+            ah, hf = self._project_rows(h, self.H_GATES, spectra)
             hf_stack[t * batch:(t + 1) * batch] = hf[be.name]
             gi = _sigmoid(ax["xi"][t] + ah["hi"])
             gf = _sigmoid(ax["xf"][t] + ah["hf"])
@@ -388,8 +384,7 @@ class BlockCirculantLSTM(_BlockCirculantRecurrent):
             ys[:, t] = h
         self._tape = {
             "backend": be, "spectra": spectra, "shape": (batch, steps),
-            "x_blocks": x_blocks[be.name], "xf": xf_rec[be.name],
-            "h_blocks": h_blocks, "hf": hf_stack, "acts": acts,
+            "xf": xf_rec[be.name], "hf": hf_stack, "acts": acts,
         }
         return ys, (h, c)
 
@@ -494,10 +489,10 @@ class BlockCirculantGRU(_BlockCirculantRecurrent):
         batch, steps, _ = x.shape
         h = self._check_state(state, batch)
         spectra = self._gate_spectra()
-        ax, _, _ = self._batched_x_preacts(x, spectra)
+        ax, _ = self._batched_x_preacts(x, spectra)
         ys = np.empty((batch, steps, self.hidden_size))
         for t in range(steps):
-            ah, _, _ = self._project_rows(h, self.H_GATES, spectra)
+            ah, _ = self._project_rows(h, self.H_GATES, spectra)
             r = _sigmoid(ax["xr"][t] + ah["hr"])
             z = _sigmoid(ax["xz"][t] + ah["hz"])
             n = np.tanh(ax["xn"][t] + r * ah["hn"])
@@ -514,8 +509,7 @@ class BlockCirculantGRU(_BlockCirculantRecurrent):
         spectra = self._gate_spectra()
         k = self.block_size
         q_h = self.hr.q
-        ax, x_blocks, xf_rec = self._batched_x_preacts(x, spectra)
-        h_blocks = np.empty((steps * batch, q_h, k))
+        ax, xf_rec = self._batched_x_preacts(x, spectra)
         hf_stack = np.empty(
             (steps * batch, q_h, k // 2 + 1), dtype=np.complex128
         )
@@ -525,8 +519,7 @@ class BlockCirculantGRU(_BlockCirculantRecurrent):
         }
         ys = np.empty((batch, steps, self.hidden_size))
         for t in range(steps):
-            ah, hb, hf = self._project_rows(h, self.H_GATES, spectra)
-            h_blocks[t * batch:(t + 1) * batch] = hb[be.name]
+            ah, hf = self._project_rows(h, self.H_GATES, spectra)
             hf_stack[t * batch:(t + 1) * batch] = hf[be.name]
             r = _sigmoid(ax["xr"][t] + ah["hr"])
             z = _sigmoid(ax["xz"][t] + ah["hz"])
@@ -541,8 +534,7 @@ class BlockCirculantGRU(_BlockCirculantRecurrent):
             ys[:, t] = h
         self._tape = {
             "backend": be, "spectra": spectra, "shape": (batch, steps),
-            "x_blocks": x_blocks[be.name], "xf": xf_rec[be.name],
-            "h_blocks": h_blocks, "hf": hf_stack, "acts": acts,
+            "xf": xf_rec[be.name], "hf": hf_stack, "acts": acts,
         }
         return ys, h
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -137,27 +141,35 @@ def conv_patch_spectrum(patch_blocks: np.ndarray, backend=None) -> np.ndarray:
 
 
 def im2col_conv_forward(w: np.ndarray, patch_blocks: np.ndarray, backend=None,
-                        *, cached_spectrum: np.ndarray | None = None,
+                        *, geometry: tuple[int, int, int] | None = None,
+                        cached_spectrum: np.ndarray | None = None,
                         record: bool = False):
     """Paper Eq. 7 by the im2col route: the reference the layer's
-    per-pixel route (:func:`repro.circulant.ops._patch_spectrum`) is
+    per-pixel route (:func:`repro.circulant.ops._conv_operand`) is
     checked against.
 
     After im2col, a block-circulant convolution is ``r²`` independent
     cross-channel block-circulant products summed over the spatial
     offsets, evaluated at once through
-    :func:`repro.circulant.ops.spectral_contract`. The patch blocks
+    :func:`repro.circulant.ops._contract_conv`. The patch blocks
     ``(batch·positions, r², q, k)`` are transformed in the layer's
     plane-major layout (:func:`conv_patch_spectrum`), so on the numpy
     backend both routes run the same DFT-table GEMM per block and get
-    the same spectrum bits. ``w`` is ``(r², p, q, k)``; returns the
-    output channel blocks ``(batch·positions, p, k)`` — or the pair
-    ``(blocks, tape)`` when ``record`` is true.
+    the same spectrum bits. Their spectrum is then laid out as the
+    layer lays out its operand for ``geometry`` ``(batch, out_h,
+    out_w)`` (default: every patch its own output row): one group of
+    columns per output row, or one group for all of them when a row has
+    fewer pixels than the weight spectrum has rows, each zero-padded to a
+    multiple of 4. So the GEMMs have the layer's shapes, and OpenBLAS
+    gives every column the layer's bits at any thread count. ``w`` is
+    ``(r², p, q, k)``; returns the output channel blocks
+    ``(batch·positions, p, k)`` — or the pair ``(blocks, tape)`` when
+    ``record`` is true.
     """
     from repro.circulant.ops import (
         SpectralTape,
         _check_spectrum_shape,
-        spectral_contract,
+        _contract_conv,
     )
     from repro.errors import ShapeError
     from repro.fftcore.backend import get_backend
@@ -179,9 +191,23 @@ def im2col_conv_forward(w: np.ndarray, patch_blocks: np.ndarray, backend=None,
         wf = cached_spectrum
         _check_spectrum_shape(wf, w.shape)
     pf = conv_patch_spectrum(patch_blocks, be)
-    out = be.irfft(spectral_contract(wf, pf), n=k)
+    batch, out_h, out_w = geometry or (pf.shape[0], 1, 1)
+    f = pf.shape[-1]
+    groups = 1 if batch * out_w < p else out_h
+    per = out_h // groups
+    used = batch * per * out_w
+    operand = np.zeros((f, groups, s * q, max(4, -(-used // 4) * 4)),
+                       dtype=pf.dtype)
+    operand[..., :used].reshape(f, groups, s * q, batch, per, out_w)[...] = (
+        pf.reshape(batch, groups, per, out_w, s * q, f)
+        .transpose(5, 1, 4, 0, 2, 3)
+    )
+    y = be.irfft(_contract_conv(wf, operand), n=k)[:, :, :used]
+    out = y.reshape(groups, p, batch, per, out_w, k).transpose(
+        2, 0, 3, 4, 1, 5
+    ).reshape(-1, p, k)
     if record:
-        return out, SpectralTape(patch_blocks, pf, wf)
+        return out, SpectralTape(pf, wf)
     return out
 
 
@@ -193,6 +219,7 @@ def conv_oracle_forward(layer, x: np.ndarray, record: bool = False):
     out_h, out_w = layer.output_shape(x.shape[2], x.shape[3])
     result = im2col_conv_forward(
         layer.weight.value, conv_patch_blocks(layer, x), layer.backend,
+        geometry=(x.shape[0], out_h, out_w),
         cached_spectrum=layer._weight_spectrum(), record=record,
     )
     y_blocks, tape = result if record else (result, None)
@@ -202,3 +229,34 @@ def conv_oracle_forward(layer, x: np.ndarray, record: bool = False):
         out = out + layer.bias.value
     out = out.reshape(batch, positions, layer.out_channels).transpose(0, 2, 1)
     return out.reshape(batch, layer.out_channels, out_h, out_w), tape
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with NumPy's bundled OpenBLAS on one thread.
+
+    A threaded OpenBLAS GEMM splits a contraction longer than its K block
+    (128 for zgemm on Haswell) at other points than a single-threaded one,
+    and it threads only GEMMs above a size threshold. So two GEMMs of
+    different widths can give the same column different last bits: a CONV
+    row GEMM against the oracle's whole-batch GEMM, or an image's row alone
+    against the same row in its batch. Bit-for-bit comparisons across GEMM
+    shapes therefore hold for one BLAS thread, as perfbench runs the
+    library. Without a controllable OpenBLAS the block runs as it is.
+    """
+    libs = Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")
+    lib = next((ctypes.CDLL(str(path)) for path in libs), None)
+    prefix = next((name for name in ("scipy_openblas", "openblas")
+                   if hasattr(lib, f"{name}_set_num_threads64_")), None)
+    if prefix is None:
+        yield
+        return
+    get = getattr(lib, f"{prefix}_get_num_threads64_")
+    put = getattr(lib, f"{prefix}_set_num_threads64_")
+    get.restype, put.argtypes = ctypes.c_int, (ctypes.c_int,)
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)

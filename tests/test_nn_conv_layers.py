@@ -14,6 +14,7 @@ from tests.conftest import (
     assert_layer_gradients,
     conv_oracle_forward,
     conv_patch_blocks,
+    one_blas_thread,
 )
 
 
@@ -164,10 +165,10 @@ class TestBlockCirculantConv2D:
 
 
 @st.composite
-def conv_cases(draw):
+def conv_cases(draw, max_batch: int = 4):
     """``(layer, input)`` over random geometry: channel counts off the
     block grid, r ∈ {1, 2, 3, 5}, stride 1–2, padding 0..r−1, non-square
-    maps, batch 1–4, both FFT backends."""
+    maps, batch 1–``max_batch``, both FFT backends."""
     k = draw(st.sampled_from([1, 2, 4, 8]))
     field = draw(st.sampled_from([1, 2, 3, 5]))
     padding = draw(st.integers(0, field - 1))
@@ -182,7 +183,7 @@ def conv_cases(draw):
         size=layer.out_channels
     )
     shape = (
-        draw(st.integers(1, 4)), layer.in_channels,
+        draw(st.integers(1, max_batch)), layer.in_channels,
         draw(st.integers(smallest, smallest + 5)),
         draw(st.integers(smallest, smallest + 5)),
     )
@@ -193,10 +194,11 @@ def conv_cases(draw):
 @given(conv_cases())
 def test_pixel_spectrum_forward_matches_im2col_route(case):
     # rfft acts per channel block and rfft(0) = 0, so the layer's one
-    # rfft per pixel block, gathered per spatial offset, is rfft of the
-    # im2col patch blocks: the same operand, so the same bits. Recording
-    # or serving, compiled or not, every forward feeds the GEMM one
-    # operand layout.
+    # rfft per pixel block, lowered by rows or gathered, holds rfft of
+    # the im2col patch blocks: the same operand, so the same bits.
+    # Recording or serving, compiled or not, every forward feeds the GEMM
+    # one operand layout, and the oracle lays its operand out alike, so
+    # the GEMM shapes, and the bits, agree at any BLAS thread count.
     layer, x = case
     uncompiled = layer.forward(x)
     layer.compile_inference()
@@ -211,6 +213,24 @@ def test_pixel_spectrum_forward_matches_im2col_route(case):
     reference.weight.value = layer.to_dense_filters()
     reference.bias.value = layer.bias.value
     np.testing.assert_allclose(served, reference.forward(x), atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_cases(max_batch=9))
+def test_served_rows_do_not_depend_on_batch_composition(case):
+    # The GEMM width is the pixel count of a row (or of the whole map)
+    # padded to a multiple of 4, at which single-threaded OpenBLAS gives
+    # a column the same bits wherever it sits: an image answered alone
+    # gets the bits it gets inside its batch, whichever lowering each
+    # batch takes.
+    layer, x = case
+    layer.compile_inference()
+    with one_blas_thread():
+        served = layer.inference_forward(x)
+        alone = [layer.inference_forward(x[i:i + 1])[0]
+                 for i in range(x.shape[0])]
+    for i, row in enumerate(alone):
+        np.testing.assert_array_equal(served[i], row)
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,6 +15,7 @@ from repro.circulant import (
     spectral_contract,
     weight_spectrum,
 )
+from repro.circulant.ops import _contract_conv, _conv_operand, _patch_tape
 from repro.errors import BackendError, ShapeError
 from repro.fftcore import FFTPlan, clear_plan_caches, get_backend
 from repro.fftcore.radix2 import bit_reverse_indices, stage_twiddles
@@ -121,13 +122,25 @@ class TestSpectralContract:
         )
 
     def test_conv_matches_einsum(self, rng):
-        wf = np.fft.rfft(rng.normal(size=(9, 3, 5, 8)))
-        pf = np.fft.rfft(rng.normal(size=(4, 9, 5, 8)))
-        np.testing.assert_allclose(
-            spectral_contract(wf, pf),
-            np.einsum("sijf,bsjf->bif", wf, pf),
-            atol=1e-12,
-        )
+        # Two 40-channel 6x5 maps (3x3, pad 1, k = 8), lowered by rows
+        # (p = 3 weight rows, 2·5 pixels a row: one GEMM per frequency and
+        # output row, padded to 12 columns) and gathered (p = 11: one GEMM
+        # per frequency over all 60 pixels): both equal the einsum over
+        # their patch spectra.
+        x = rng.normal(size=(2, 40, 6, 5))
+        for p, shape in ((3, (5, 6, 45, 12)), (11, (5, 1, 45, 60))):
+            operand = _conv_operand(x, 3, 1, 1, 5, 8, p)
+            assert operand.shape == shape
+            wf = np.fft.rfft(rng.normal(size=(9, p, 5, 8)))
+            groups = shape[1]
+            got = _contract_conv(wf, operand)[:, :, :60 // groups]
+            got = got.reshape(groups, p, 2, 6 // groups, 5, 5)
+            np.testing.assert_allclose(
+                got.transpose(2, 0, 3, 4, 1, 5).reshape(60, p, 5),
+                np.einsum("sijf,bsjf->bif", wf,
+                          _patch_tape(operand, 2, 6, 5, 3)),
+                atol=1e-12,
+            )
 
     def test_rejects_mismatched_shapes(self, rng):
         wf = np.zeros((3, 5, 8), dtype=complex)
@@ -136,6 +149,17 @@ class TestSpectralContract:
         with pytest.raises(ShapeError):
             spectral_contract(np.zeros((5, 8), dtype=complex),
                               np.zeros((4, 5, 8), dtype=complex))
+        with pytest.raises(ShapeError):
+            _contract_conv(np.zeros((9, 3, 5, 5), dtype=complex),
+                           np.zeros((5, 2, 44, 4), dtype=complex))
+
+    def test_rejects_conv_spectra(self):
+        # The FC kernel takes (p, q, f) weight spectra only: a CONV
+        # (r², p, q, f) spectrum is refused even where an activation
+        # spectrum's shape would fit both (r = 1, batch = f).
+        with pytest.raises(ShapeError):
+            spectral_contract(np.zeros((1, 3, 5, 5), dtype=complex),
+                              np.zeros((5, 1, 5, 5), dtype=complex))
 
     def test_conv_forward_cached_matches_uncached(self, rng):
         # (r², p, q, k) = (9, 3, 5, 8) weights over 6 output positions.

@@ -17,6 +17,8 @@ down the three contracts:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -84,7 +86,10 @@ class TestRecordMode:
         out, tape = block_circulant_forward(w, blocks, record=True)
         assert isinstance(tape, SpectralTape)
         np.testing.assert_array_equal(out, plain)
-        np.testing.assert_array_equal(tape.blocks, blocks)
+        # Spectra only: the backward never reads time-domain blocks.
+        assert [f.name for f in dataclasses.fields(tape)] == [
+            "input_spectrum", "weight_spectrum",
+        ]
         be = get_backend(None)
         np.testing.assert_array_equal(tape.input_spectrum, be.rfft(blocks))
         np.testing.assert_array_equal(tape.weight_spectrum, be.rfft(w))
@@ -96,7 +101,7 @@ class TestRecordMode:
         out = layer.forward(x)
         tape = layer._tape
         np.testing.assert_array_equal(out, plain)
-        assert isinstance(tape, SpectralTape) and tape.blocks is None
+        assert isinstance(tape, SpectralTape)
         be = get_backend(None)
         # The layer's gathered spectrum is rfft of the im2col patch
         # blocks transformed in the plane-major (k, r², q, batch) layout.
@@ -121,6 +126,48 @@ class TestRecordMode:
         )
         np.testing.assert_array_equal(gw, gw_ref)
         np.testing.assert_array_equal(gx, gx_ref)
+
+    def test_backward_reads_the_spectrum_without_blocks(self, rng):
+        w = rng.normal(size=(2, 3, 4))
+        blocks = rng.normal(size=(5, 3, 4))
+        grad = rng.normal(size=(5, 2, 4))
+        _, tape = block_circulant_forward(w, blocks, record=True)
+        cached = dict(cached_spectrum=tape.weight_spectrum,
+                      cached_input_spectrum=tape.input_spectrum)
+        gw_ref, gx_ref = block_circulant_backward(w, blocks, grad, **cached)
+        gw, gx = block_circulant_backward(w, None, grad, **cached)
+        np.testing.assert_array_equal(gw, gw_ref)
+        np.testing.assert_array_equal(gx, gx_ref)
+        with pytest.raises(ShapeError):
+            block_circulant_backward(w, None, grad)
+        # The spectrum's batch and shape are checked in the blocks' place.
+        with pytest.raises(ShapeError):
+            block_circulant_backward(w, None, grad[:4], **cached)
+        with pytest.raises(ShapeError):
+            block_circulant_backward(
+                w, None, grad, cached_spectrum=tape.weight_spectrum,
+                cached_input_spectrum=tape.input_spectrum[:, :2],
+            )
+
+    def test_dense_tape_pins_no_input_blocks(self, rng):
+        layer = BlockCirculantDense(12, 8, 4, seed=0)
+        x = rng.normal(size=(5, 12))
+        grad = rng.normal(size=(5, 8))
+        layer.forward(x)
+        tape = layer._tape
+        # Only the two spectra are kept: no float64 array of the input.
+        assert all(np.iscomplexobj(getattr(tape, f.name))
+                   for f in dataclasses.fields(tape))
+        gx = layer.backward(grad)
+        blocks = partition_vector(x, 4, layer.q)
+        gw_ref, gx_ref = block_circulant_backward(
+            layer.weight.value, blocks,
+            partition_vector(grad, 4, layer.p),
+            cached_spectrum=tape.weight_spectrum,
+            cached_input_spectrum=tape.input_spectrum,
+        )
+        np.testing.assert_array_equal(layer.weight.grad, gw_ref)
+        np.testing.assert_array_equal(gx, unpartition_vector(gx_ref, 12))
 
     def test_bad_cached_input_spectrum_rejected(self, rng):
         w = rng.normal(size=(2, 3, 4))
@@ -268,7 +315,9 @@ class TestConvLayerTape:
         # The layer gathers its patch spectrum from one rfft per pixel;
         # assert against a fresh kernel call on the im2col patch blocks.
         patch_blocks = conv_patch_blocks(layer, x)
-        ref_blocks = im2col_conv_forward(layer.weight.value, patch_blocks)
+        ref_blocks = im2col_conv_forward(
+            layer.weight.value, patch_blocks, geometry=(2, *out.shape[2:])
+        )
         positions = out.shape[2] * out.shape[3]
         ref = ref_blocks.reshape(2 * positions, layer.pp * 2)[:, :5]
         ref = ref + layer.bias.value
