@@ -30,6 +30,15 @@ time-stepped execution contract of
   ``1 + T`` forward FFTs and ``G·(1 + T)`` inverse FFTs for ``G``
   x-gates — asserted exactly with ``CountingFFTBackend`` in the tests.
 
+Both cells run **one sequence pipeline**, ``_run_sequence(x, state,
+record)``, behind ``forward_with_state`` (recording) and
+``inference_forward_with_state`` (pure), and **one BPTT walk**,
+``backward``. A cell supplies only two hooks: ``_cell`` (one step's
+pre-activations and state in; hidden rows, new state and the step's
+activations out) and ``_cell_backward`` (one step's activations and
+``∂L/∂h`` in; the step's pre-activation gradients, a direct ``∂L/∂h``
+term and a carry such as the LSTM's ``∂L/∂c`` out).
+
 Training extends the spectral tape to **BPTT**: the recording forward
 keeps the per-timestep input and hidden spectra (weight spectra shared,
 as always), the backward walk transforms each step's pre-activation
@@ -38,7 +47,9 @@ frequency domain (one inverse FFT per step), and the weight gradients
 are *deferred* — all ``T`` timesteps contract in one
 :func:`~repro.circulant.ops.block_circulant_backward` call per gate with
 ``cached_spectrum`` / ``cached_input_spectrum`` / ``cached_grad_spectrum``
-all supplied, so those calls perform zero forward FFTs.
+all supplied, so those calls perform zero forward FFTs. Per sequence
+that is ``4T`` forward and ``T + 9`` inverse FFTs for the LSTM (``4T``
+and ``T + 7`` for the GRU).
 
 State is threaded per call (``init_state`` → ``*_with_state`` →
 ``(y, state)``), never stored on ``self``, so ``inference_forward``
@@ -75,18 +86,32 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class _BlockCirculantRecurrent(StatefulModule):
-    """Shared scaffolding of the LSTM and GRU layers.
+    """The sequence pipeline and BPTT walk shared by the LSTM and GRU.
 
     Subclasses declare their gate rosters (``X_GATES`` input-to-hidden,
-    ``H_GATES`` hidden-to-hidden, positionally paired) and the tape keys
+    ``H_GATES`` hidden-to-hidden, positionally paired), the tape keys
     (``_X_KEYS`` / ``_H_KEYS``) naming which stacked pre-activation
-    gradient drives each gate's deferred weight gradient.
+    gradient drives each gate's deferred weight gradient, and the
+    per-step activations the tape keeps (``_ACTS``). They implement:
+
+    - ``_check_state(state, batch)`` → ``(h, state)``: the hidden rows
+      and the validated state (a :class:`ShapeError` for any other);
+    - ``_cell(ax, ah, t, state)`` → ``(h, state, acts)``: step ``t``'s
+      update from the x-gate pre-activations ``ax`` (whole sequence),
+      the h-gate projections ``ah`` and the incoming state, with
+      ``acts`` in ``_ACTS`` order;
+    - ``_cell_backward(acts, dh, carry)`` → ``(grads, dh_direct,
+      carry)``: that step's pre-activation gradients in ``_X_KEYS``
+      then ``_H_KEYS`` order (each key once), the ``∂L/∂h_{t-1}`` term
+      that bypasses the h-gates (``None`` when there is none), and the
+      carry handed to step ``t - 1`` (``0.0`` at the last step).
     """
 
     X_GATES: tuple[str, ...] = ()
     H_GATES: tuple[str, ...] = ()
     _X_KEYS: tuple[str, ...] = ()
     _H_KEYS: tuple[str, ...] = ()
+    _ACTS: tuple[str, ...] = ()
 
     def __init__(self, in_features: int, hidden_size: int, block_size: int,
                  bias: bool = True, seed=None, backend=None,
@@ -229,6 +254,111 @@ class _BlockCirculantRecurrent(StatefulModule):
         }
         return ax, rf
 
+    # -- the sequence pipeline ------------------------------------------------
+    def _run_sequence(self, x: np.ndarray, state, record: bool):
+        """The one sequence forward: gate spectra resolved once, the
+        x-gate pre-activations of every step batched, then per step one
+        shared-``rfft`` h-gate projection and the cell update.
+        ``record`` only decides whether the hidden spectra and the
+        cell's activations are kept as the BPTT tape on ``self``; the
+        pure path writes nothing to ``self``."""
+        x = np.asarray(x, dtype=np.float64)
+        self._check_sequence(x)
+        batch, steps, _ = x.shape
+        h, state = self._check_state(state, batch)
+        be = self._common_backend() if record else None
+        spectra = self._gate_spectra()
+        ax, xf = self._batched_x_preacts(x, spectra)
+        ys = np.empty((batch, steps, self.hidden_size))
+        if record:
+            hf_stack = np.empty(
+                (steps * batch, getattr(self, self.H_GATES[0]).q,
+                 self.block_size // 2 + 1),
+                dtype=np.complex128,
+            )
+            acts = tuple(
+                np.empty((steps, batch, self.hidden_size))
+                for _ in self._ACTS
+            )
+        for t in range(steps):
+            ah, hf = self._project_rows(h, self.H_GATES, spectra)
+            h, state, step_acts = self._cell(ax, ah, t, state)
+            if record:
+                hf_stack[t * batch:(t + 1) * batch] = hf[be.name]
+                for buf, act in zip(acts, step_acts):
+                    buf[t] = act
+            ys[:, t] = h
+        if record:
+            self._tape = {
+                "backend": be, "spectra": spectra, "shape": (batch, steps),
+                "xf": xf[be.name], "hf": hf_stack, "acts": acts,
+            }
+        return ys, state
+
+    def forward_with_state(self, x: np.ndarray, state):
+        return self._run_sequence(x, state, record=True)
+
+    def inference_forward_with_state(self, x: np.ndarray, state):
+        return self._run_sequence(x, state, record=False)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
+        """BPTT over the tape, last step first. Each step's
+        pre-activation gradients get one ``rfft`` per key, kept t-major
+        for the deferred weight contraction; the h-gate input-gradient
+        products sum in the frequency domain (``_H_KEYS`` order), so
+        ``∂L/∂h_{t-1}`` costs a single ``irfft``."""
+        tape = self._tape
+        if tape is None:
+            raise RuntimeError("backward called before forward")
+        batch, steps = tape["shape"]
+        grad_output = np.asarray(grad_output, dtype=np.float64)
+        if grad_output.shape != (batch, steps, self.hidden_size):
+            raise ShapeError(
+                f"grad must be ({batch}, {steps}, {self.hidden_size}), "
+                f"got {grad_output.shape}"
+            )
+        be = tape["backend"]
+        k = self.block_size
+        p = getattr(self, self.X_GATES[0]).p
+        keys = tuple(dict.fromkeys((*self._X_KEYS, *self._H_KEYS)))
+        da = {
+            key: np.empty((steps, batch, self.hidden_size)) for key in keys
+        }
+        gf_stack = {
+            key: np.empty((steps * batch, p, k // 2 + 1), dtype=np.complex128)
+            for key in keys
+        }
+        conj_h = {
+            key: np.conj(tape["spectra"][name]).transpose(2, 0, 1)
+            for key, name in zip(self._H_KEYS, self.H_GATES)
+        }
+        dh = np.zeros((batch, self.hidden_size))
+        carry = 0.0
+        for t in range(steps - 1, -1, -1):
+            dh = dh + grad_output[:, t]
+            grads, dh_direct, carry = self._cell_backward(
+                [buf[t] for buf in tape["acts"]], dh, carry
+            )
+            spec = {}
+            for key, grad in zip(keys, grads):
+                da[key][t] = grad
+                spec[key] = be.rfft(partition_vector(da[key][t], k, p))
+                gf_stack[key][t * batch:(t + 1) * batch] = spec[key]
+            acc = None
+            for key in self._H_KEYS:
+                term = np.matmul(spec[key].transpose(2, 0, 1), conj_h[key])
+                acc = term if acc is None else acc + term
+            dh = unpartition_vector(
+                be.irfft(acc.transpose(1, 2, 0), n=k), self.hidden_size
+            )
+            if dh_direct is not None:
+                dh = dh_direct + dh
+        self._apply_deferred_grads(tape, da, gf_stack)
+        self._tape = None
+        if not self.needs_input_grad:
+            return None
+        return self._input_gradient(tape, gf_stack)
+
     # -- deferred BPTT gradient plumbing --------------------------------------
     def _apply_deferred_grads(self, tape: dict, da: dict[str, np.ndarray],
                               gf_stack: dict[str, np.ndarray]) -> None:
@@ -310,6 +440,7 @@ class BlockCirculantLSTM(_BlockCirculantRecurrent):
     H_GATES = ("hi", "hf", "hg", "ho")
     _X_KEYS = ("i", "f", "g", "o")
     _H_KEYS = ("i", "f", "g", "o")
+    _ACTS = ("i", "f", "g", "o", "cp", "tc")
 
     def init_state(self, batch_size: int):
         h = np.zeros((batch_size, self.hidden_size))
@@ -317,138 +448,45 @@ class BlockCirculantLSTM(_BlockCirculantRecurrent):
         return h, c
 
     def _check_state(self, state, batch: int):
-        h, c = state
+        expected = (batch, self.hidden_size)
+        try:
+            h, c = state
+        except (TypeError, ValueError):
+            raise ShapeError(
+                f"LSTM state must be a pair of {expected} arrays, got "
+                f"{type(state).__name__}"
+            ) from None
         h = np.asarray(h, dtype=np.float64)
         c = np.asarray(c, dtype=np.float64)
-        expected = (batch, self.hidden_size)
         if h.shape != expected or c.shape != expected:
             raise ShapeError(
                 f"LSTM state must be a pair of {expected} arrays, got "
                 f"{h.shape} and {c.shape}"
             )
-        return h, c
+        return h, (h, c)
 
-    def inference_forward_with_state(self, x: np.ndarray, state):
-        x = np.asarray(x, dtype=np.float64)
-        self._check_sequence(x)
-        batch, steps, _ = x.shape
-        h, c = self._check_state(state, batch)
-        spectra = self._gate_spectra()
-        ax, _ = self._batched_x_preacts(x, spectra)
-        ys = np.empty((batch, steps, self.hidden_size))
-        for t in range(steps):
-            ah, _ = self._project_rows(h, self.H_GATES, spectra)
-            gi = _sigmoid(ax["xi"][t] + ah["hi"])
-            gf = _sigmoid(ax["xf"][t] + ah["hf"])
-            gg = np.tanh(ax["xg"][t] + ah["hg"])
-            go = _sigmoid(ax["xo"][t] + ah["ho"])
-            c = gf * c + gi * gg
-            h = go * np.tanh(c)
-            ys[:, t] = h
-        return ys, (h, c)
+    def _cell(self, ax, ah, t, state):
+        _, c = state
+        gi = _sigmoid(ax["xi"][t] + ah["hi"])
+        gf = _sigmoid(ax["xf"][t] + ah["hf"])
+        gg = np.tanh(ax["xg"][t] + ah["hg"])
+        go = _sigmoid(ax["xo"][t] + ah["ho"])
+        c_next = gf * c + gi * gg
+        tc = np.tanh(c_next)
+        h = go * tc
+        return h, (h, c_next), (gi, gf, gg, go, c, tc)
 
-    def forward_with_state(self, x: np.ndarray, state):
-        x = np.asarray(x, dtype=np.float64)
-        self._check_sequence(x)
-        batch, steps, _ = x.shape
-        h, c = self._check_state(state, batch)
-        be = self._common_backend()
-        spectra = self._gate_spectra()
-        k = self.block_size
-        q_h = self.hi.q
-        ax, xf_rec = self._batched_x_preacts(x, spectra)
-        hf_stack = np.empty(
-            (steps * batch, q_h, k // 2 + 1), dtype=np.complex128
+    def _cell_backward(self, acts, dh, dc):
+        gi, gf, gg, go, cp, tc = acts
+        do = dh * tc
+        dc = dc + dh * go * (1.0 - tc * tc)
+        grads = (
+            dc * gg * gi * (1.0 - gi),
+            dc * cp * gf * (1.0 - gf),
+            dc * gi * (1.0 - gg * gg),
+            do * go * (1.0 - go),
         )
-        acts = {
-            key: np.empty((steps, batch, self.hidden_size))
-            for key in ("i", "f", "g", "o", "cp", "tc")
-        }
-        ys = np.empty((batch, steps, self.hidden_size))
-        for t in range(steps):
-            ah, hf = self._project_rows(h, self.H_GATES, spectra)
-            hf_stack[t * batch:(t + 1) * batch] = hf[be.name]
-            gi = _sigmoid(ax["xi"][t] + ah["hi"])
-            gf = _sigmoid(ax["xf"][t] + ah["hf"])
-            gg = np.tanh(ax["xg"][t] + ah["hg"])
-            go = _sigmoid(ax["xo"][t] + ah["ho"])
-            acts["cp"][t] = c
-            c = gf * c + gi * gg
-            tc = np.tanh(c)
-            h = go * tc
-            acts["i"][t] = gi
-            acts["f"][t] = gf
-            acts["g"][t] = gg
-            acts["o"][t] = go
-            acts["tc"][t] = tc
-            ys[:, t] = h
-        self._tape = {
-            "backend": be, "spectra": spectra, "shape": (batch, steps),
-            "xf": xf_rec[be.name], "hf": hf_stack, "acts": acts,
-        }
-        return ys, (h, c)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
-        tape = self._tape
-        if tape is None:
-            raise RuntimeError("backward called before forward")
-        batch, steps = tape["shape"]
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        if grad_output.shape != (batch, steps, self.hidden_size):
-            raise ShapeError(
-                f"grad must be ({batch}, {steps}, {self.hidden_size}), "
-                f"got {grad_output.shape}"
-            )
-        be = tape["backend"]
-        spectra = tape["spectra"]
-        acts = tape["acts"]
-        k = self.block_size
-        p = self.xi.p
-        bins = k // 2 + 1
-        da = {
-            key: np.empty((steps, batch, self.hidden_size))
-            for key in self._X_KEYS
-        }
-        gf_stack = {
-            key: np.empty((steps * batch, p, bins), dtype=np.complex128)
-            for key in self._X_KEYS
-        }
-        conj_h = {
-            name: np.conj(spectra[name]).transpose(2, 0, 1)
-            for name in self.H_GATES
-        }
-        dh = np.zeros((batch, self.hidden_size))
-        dc = np.zeros((batch, self.hidden_size))
-        for t in range(steps - 1, -1, -1):
-            dh = dh + grad_output[:, t]
-            gi, gf = acts["i"][t], acts["f"][t]
-            gg, go = acts["g"][t], acts["o"][t]
-            tc, cp = acts["tc"][t], acts["cp"][t]
-            do = dh * tc
-            dc = dc + dh * go * (1.0 - tc * tc)
-            da["i"][t] = dc * gg * gi * (1.0 - gi)
-            da["f"][t] = dc * cp * gf * (1.0 - gf)
-            da["g"][t] = dc * gi * (1.0 - gg * gg)
-            da["o"][t] = do * go * (1.0 - go)
-            # One rfft per gate over this step's pre-activation gradient,
-            # recorded t-major for the deferred weight contraction; the
-            # four hidden-gate input-gradient products sum in the
-            # frequency domain so ∂L/∂h_{t-1} costs a single irfft.
-            acc = None
-            for key, name in zip(self._H_KEYS, self.H_GATES):
-                spec = be.rfft(partition_vector(da[key][t], k, p))
-                gf_stack[key][t * batch:(t + 1) * batch] = spec
-                term = np.matmul(spec.transpose(2, 0, 1), conj_h[name])
-                acc = term if acc is None else acc + term
-            dh = unpartition_vector(
-                be.irfft(acc.transpose(1, 2, 0), n=k), self.hidden_size
-            )
-            dc = dc * gf
-        self._apply_deferred_grads(tape, da, gf_stack)
-        self._tape = None
-        if not self.needs_input_grad:
-            return None
-        return self._input_gradient(tape, gf_stack)
+        return grads, None, dc * gf
 
 
 class BlockCirculantGRU(_BlockCirculantRecurrent):
@@ -470,6 +508,7 @@ class BlockCirculantGRU(_BlockCirculantRecurrent):
     H_GATES = ("hr", "hz", "hn")
     _X_KEYS = ("r", "z", "nx")
     _H_KEYS = ("r", "z", "nh")
+    _ACTS = ("r", "z", "n", "u", "hp")
 
     def init_state(self, batch_size: int):
         return np.zeros((batch_size, self.hidden_size))
@@ -481,118 +520,19 @@ class BlockCirculantGRU(_BlockCirculantRecurrent):
                 f"GRU state must be ({batch}, {self.hidden_size}), "
                 f"got {h.shape}"
             )
-        return h
+        return h, h
 
-    def inference_forward_with_state(self, x: np.ndarray, state):
-        x = np.asarray(x, dtype=np.float64)
-        self._check_sequence(x)
-        batch, steps, _ = x.shape
-        h = self._check_state(state, batch)
-        spectra = self._gate_spectra()
-        ax, _ = self._batched_x_preacts(x, spectra)
-        ys = np.empty((batch, steps, self.hidden_size))
-        for t in range(steps):
-            ah, _ = self._project_rows(h, self.H_GATES, spectra)
-            r = _sigmoid(ax["xr"][t] + ah["hr"])
-            z = _sigmoid(ax["xz"][t] + ah["hz"])
-            n = np.tanh(ax["xn"][t] + r * ah["hn"])
-            h = (1.0 - z) * n + z * h
-            ys[:, t] = h
-        return ys, h
+    def _cell(self, ax, ah, t, h):
+        r = _sigmoid(ax["xr"][t] + ah["hr"])
+        z = _sigmoid(ax["xz"][t] + ah["hz"])
+        u = ah["hn"]
+        n = np.tanh(ax["xn"][t] + r * u)
+        h_next = (1.0 - z) * n + z * h
+        return h_next, h_next, (r, z, n, u, h)
 
-    def forward_with_state(self, x: np.ndarray, state):
-        x = np.asarray(x, dtype=np.float64)
-        self._check_sequence(x)
-        batch, steps, _ = x.shape
-        h = self._check_state(state, batch)
-        be = self._common_backend()
-        spectra = self._gate_spectra()
-        k = self.block_size
-        q_h = self.hr.q
-        ax, xf_rec = self._batched_x_preacts(x, spectra)
-        hf_stack = np.empty(
-            (steps * batch, q_h, k // 2 + 1), dtype=np.complex128
-        )
-        acts = {
-            key: np.empty((steps, batch, self.hidden_size))
-            for key in ("r", "z", "n", "u", "hp")
-        }
-        ys = np.empty((batch, steps, self.hidden_size))
-        for t in range(steps):
-            ah, hf = self._project_rows(h, self.H_GATES, spectra)
-            hf_stack[t * batch:(t + 1) * batch] = hf[be.name]
-            r = _sigmoid(ax["xr"][t] + ah["hr"])
-            z = _sigmoid(ax["xz"][t] + ah["hz"])
-            u = ah["hn"]
-            n = np.tanh(ax["xn"][t] + r * u)
-            acts["hp"][t] = h
-            h = (1.0 - z) * n + z * h
-            acts["r"][t] = r
-            acts["z"][t] = z
-            acts["n"][t] = n
-            acts["u"][t] = u
-            ys[:, t] = h
-        self._tape = {
-            "backend": be, "spectra": spectra, "shape": (batch, steps),
-            "xf": xf_rec[be.name], "hf": hf_stack, "acts": acts,
-        }
-        return ys, h
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray | None:
-        tape = self._tape
-        if tape is None:
-            raise RuntimeError("backward called before forward")
-        batch, steps = tape["shape"]
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        if grad_output.shape != (batch, steps, self.hidden_size):
-            raise ShapeError(
-                f"grad must be ({batch}, {steps}, {self.hidden_size}), "
-                f"got {grad_output.shape}"
-            )
-        be = tape["backend"]
-        spectra = tape["spectra"]
-        acts = tape["acts"]
-        k = self.block_size
-        p = self.xr.p
-        bins = k // 2 + 1
-        keys = ("r", "z", "nx", "nh")
-        da = {
-            key: np.empty((steps, batch, self.hidden_size)) for key in keys
-        }
-        gf_stack = {
-            key: np.empty((steps * batch, p, bins), dtype=np.complex128)
-            for key in keys
-        }
-        conj_h = {
-            name: np.conj(spectra[name]).transpose(2, 0, 1)
-            for name in self.H_GATES
-        }
-        dh = np.zeros((batch, self.hidden_size))
-        for t in range(steps - 1, -1, -1):
-            dh = dh + grad_output[:, t]
-            r, z = acts["r"][t], acts["z"][t]
-            n, u, hp = acts["n"][t], acts["u"][t], acts["hp"][t]
-            dz = dh * (hp - n)
-            dan = dh * (1.0 - z) * (1.0 - n * n)
-            da["r"][t] = dan * u * r * (1.0 - r)
-            da["z"][t] = dz * z * (1.0 - z)
-            da["nx"][t] = dan
-            da["nh"][t] = dan * r
-            dh_direct = dh * z
-            acc = None
-            for key in keys:
-                spec = be.rfft(partition_vector(da[key][t], k, p))
-                gf_stack[key][t * batch:(t + 1) * batch] = spec
-                if key == "nx":
-                    continue  # drives only the xn weight/input gradients
-                name = dict(zip(self._H_KEYS, self.H_GATES))[key]
-                term = np.matmul(spec.transpose(2, 0, 1), conj_h[name])
-                acc = term if acc is None else acc + term
-            dh = dh_direct + unpartition_vector(
-                be.irfft(acc.transpose(1, 2, 0), n=k), self.hidden_size
-            )
-        self._apply_deferred_grads(tape, da, gf_stack)
-        self._tape = None
-        if not self.needs_input_grad:
-            return None
-        return self._input_gradient(tape, gf_stack)
+    def _cell_backward(self, acts, dh, carry):
+        r, z, n, u, hp = acts
+        dz = dh * (hp - n)
+        dan = dh * (1.0 - z) * (1.0 - n * n)
+        grads = (dan * u * r * (1.0 - r), dz * z * (1.0 - z), dan, dan * r)
+        return grads, dh * z, carry

@@ -2,10 +2,10 @@
 and ``attach_spectral_cache``.
 
 Random small stacks mix every spectral leaf kind — block-circulant FC with
-in/out sizes not divisible by k, block-circulant CONV, the LSTM's gate
-projections — with glue layers and a nested ``Sequential``. For each the
-walk must bind the root's one cache to every spectral leaf, and compiling
-must not change a single output bit.
+in/out sizes not divisible by k, block-circulant CONV, the LSTM's and the
+GRU's gate projections — with glue layers and a nested ``Sequential``. For
+each the walk must bind the root's one cache to every spectral leaf, and
+compiling must not change a single output bit.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.nn import (
     BlockCirculantConv2D,
     BlockCirculantDense,
+    BlockCirculantGRU,
     BlockCirculantLSTM,
     Flatten,
     ReLU,
@@ -25,6 +26,7 @@ from repro.nn import (
 from repro.quant import quantized_view
 
 SPECTRAL_LEAVES = (BlockCirculantDense, BlockCirculantConv2D)
+RECURRENT_FRONTS = {"lstm": BlockCirculantLSTM, "gru": BlockCirculantGRU}
 
 
 def _modules(net):
@@ -38,7 +40,7 @@ def _spectral_leaves(net):
 
 
 @st.composite
-def stacks(draw, fronts=("dense", "conv", "lstm")):
+def stacks(draw, fronts=("dense", "conv", "lstm", "gru")):
     """``(network, per-sample input shape)`` for a random small stack."""
     seed = draw(st.integers(0, 2**16))
     k = draw(st.sampled_from([2, 4, 8]))
@@ -60,11 +62,11 @@ def stacks(draw, fronts=("dense", "conv", "lstm")):
             Flatten(),
         ]
         sample, features = (channels, side, side), out_channels * side * side
-    elif front == "lstm":
+    elif front in RECURRENT_FRONTS:
         in_features, hidden = not_divisible(1), not_divisible(1)
         steps = draw(st.integers(1, 4))
-        layers += [BlockCirculantLSTM(in_features, hidden, k, seed=seed),
-                   Flatten()]
+        cell = RECURRENT_FRONTS[front]
+        layers += [cell(in_features, hidden, k, seed=seed), Flatten()]
         sample, features = (steps, in_features), steps * hidden
     else:
         features = not_divisible(2)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.fftcore import CountingFFTBackend, get_backend
@@ -142,6 +144,38 @@ def test_sequence_shape_validation():
         layer.forward(np.zeros((3, 4, 7)))       # wrong feature width
 
 
+_ROWS = np.zeros((3, 8))
+_MALFORMED_STATES = {
+    BlockCirculantLSTM: [
+        None, 1.0, _ROWS, (_ROWS,), (_ROWS, _ROWS, _ROWS),
+        (_ROWS, np.zeros((3, 7))), (np.zeros((2, 8)), _ROWS),
+    ],
+    BlockCirculantGRU: [
+        None, 1.0, (_ROWS, _ROWS), np.zeros((2, 8)), np.zeros((3, 7)),
+        np.zeros((3, 8, 1)),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "cls", [BlockCirculantLSTM, BlockCirculantGRU], ids=["lstm", "gru"]
+)
+def test_malformed_state_raises_shape_error(cls):
+    # Anything but the cell's own state shape, (h, c) pairs of
+    # (batch, hidden) rows for the LSTM and (batch, hidden) for the GRU,
+    # is refused as a ShapeError on every state-taking entry point.
+    layer = cls(8, 8, 4, seed=25)
+    x = np.zeros((3, 2, 8))
+    for state in _MALFORMED_STATES[cls]:
+        with pytest.raises(ShapeError):
+            layer.forward_with_state(x, state)
+        with pytest.raises(ShapeError):
+            layer.inference_forward_with_state(x, state)
+        with pytest.raises(ShapeError):
+            layer.step(x[:, 0], state)
+    layer.inference_forward_with_state(x, layer.init_state(3))
+
+
 # -- streaming and state threading -------------------------------------------
 
 def test_step_streams_the_same_outputs_as_the_sequence_forward():
@@ -177,6 +211,58 @@ def test_state_carries_across_split_sequences():
         np.concatenate([first, second], axis=1), whole,
         atol=1e-12, rtol=0,
     )
+
+
+@st.composite
+def recurrent_cases(draw):
+    """A random LSTM or GRU with in/hidden sizes k does not divide, an
+    input sequence, a split point inside it and whether to compile."""
+    cls = draw(st.sampled_from([BlockCirculantLSTM, BlockCirculantGRU]))
+    k = draw(st.sampled_from([2, 4, 8]))
+
+    def not_divisible() -> int:
+        return draw(st.integers(0, 2)) * k + draw(st.integers(1, k - 1))
+
+    seed = draw(st.integers(0, 2**16))
+    layer = cls(not_divisible(), not_divisible(), k, seed=seed)
+    batch, steps = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    x = np.random.default_rng(seed).normal(
+        size=(batch, steps, layer.in_features)
+    )
+    return layer, x, draw(st.integers(1, steps)), draw(st.booleans())
+
+
+@settings(max_examples=30, deadline=None)
+@given(recurrent_cases())
+def test_step_and_split_state_match_the_sequence_forward(case):
+    # Not bit for bit: the batched x-gate GEMM is T·B rows wide in a
+    # sequence and B rows wide in a step, and may round differently.
+    layer, x, split, compiled = case
+    batch, steps, _ = x.shape
+    net = Sequential(layer).eval()
+    if compiled:
+        net.compile_inference()
+    whole, final = layer.inference_forward_with_state(
+        x, layer.init_state(batch)
+    )
+    state = net.init_state(batch)
+    for t in range(steps):
+        y_t, state = net.step(x[:, t], state)
+        np.testing.assert_allclose(y_t, whole[:, t], atol=1e-12, rtol=0)
+    np.testing.assert_allclose(state[0], final, atol=1e-12, rtol=0)
+    first, carried = layer.inference_forward_with_state(
+        x[:, :split], layer.init_state(batch)
+    )
+    parts = [first]
+    if split < steps:
+        second, carried = layer.inference_forward_with_state(
+            x[:, split:], carried
+        )
+        parts.append(second)
+    np.testing.assert_allclose(
+        np.concatenate(parts, axis=1), whole, atol=1e-12, rtol=0
+    )
+    np.testing.assert_allclose(carried, final, atol=1e-12, rtol=0)
 
 
 def test_sequential_threads_state_through_mixed_pipelines():
@@ -262,9 +348,14 @@ def test_uncompiled_forward_pays_weight_spectra_once_per_sequence():
     assert counting.counts.get("rfft", 0) == 8 + 1 + steps
 
 
-def test_bptt_backward_fft_budget_is_exact():
+@pytest.mark.parametrize(
+    ("cls", "seed", "gates"),
+    [(BlockCirculantLSTM, 16, 8), (BlockCirculantGRU, 26, 6)],
+    ids=["lstm", "gru"],
+)
+def test_bptt_backward_fft_budget_is_exact(cls, seed, gates):
     rng = np.random.default_rng(9)
-    layer, counting = _counting_layer(BlockCirculantLSTM, 16)
+    layer, counting = _counting_layer(cls, seed)
     steps = 5
     x = rng.normal(size=(2, steps, 10))
     y = layer.forward(x)
@@ -272,12 +363,13 @@ def test_bptt_backward_fft_budget_is_exact():
     layer.zero_grad()
     layer.backward(rng.normal(size=y.shape))
     # Per step: 4 pre-activation gradient spectra (shared between the x-
-    # and h-gate weight gradients and the hidden/input chains) and one
-    # inverse for the hidden chain; plus 8 weight-gradient inverses and
-    # 1 input-gradient inverse at the end. Zero forward-spectrum
-    # recomputation — everything is served from the tape.
+    # and h-gate weight gradients and the hidden/input chains; the GRU's
+    # candidate gate has separate x and h gradients, so 4 for it too)
+    # and one inverse for the hidden chain; plus one weight-gradient
+    # inverse per gate and 1 input-gradient inverse at the end. Zero
+    # forward-spectrum recomputation — everything is served from the tape.
     assert counting.counts.get("rfft", 0) == 4 * steps
-    assert counting.counts.get("irfft", 0) == steps + 8 + 1
+    assert counting.counts.get("irfft", 0) == steps + gates + 1
 
 
 # -- training ----------------------------------------------------------------
