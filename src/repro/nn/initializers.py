@@ -19,14 +19,6 @@ def he_normal(shape: tuple[int, ...], fan_in: int, seed=None) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / max(1, fan_in)), size=shape)
 
 
-def glorot_uniform(shape: tuple[int, ...], fan_in: int, fan_out: int,
-                   seed=None) -> np.ndarray:
-    """Uniform init on ``[-L, L]`` with ``L = sqrt(6 / (fan_in + fan_out))``."""
-    rng = make_rng(seed)
-    limit = np.sqrt(6.0 / max(1, fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     """All-zero tensor (biases)."""
     return np.zeros(shape, dtype=np.float64)

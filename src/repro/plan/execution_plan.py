@@ -59,17 +59,6 @@ class LayerPlan:
     bits: int | None = None
     block_size: int | None = None
 
-    def merged_over(self, other: "LayerPlan") -> "LayerPlan":
-        """This plan with ``None`` fields filled from ``other``."""
-        return LayerPlan(
-            backend=self.backend if self.backend is not None else other.backend,
-            bits=self.bits if self.bits is not None else other.bits,
-            block_size=(
-                self.block_size if self.block_size is not None
-                else other.block_size
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class ExecutionPlan:

@@ -17,19 +17,19 @@ compile passes:
   each worker attaches read-only views (:func:`repro.serving.shm.attach_image`)
   — zero per-worker warm-up FFTs, zero per-worker weight RAM beyond page
   tables.
-- Hot swap stays atomic *across processes*: every task is tagged with
-  the registry generation it must run on, and a worker only ever
-  executes a task against exactly that generation's image. Because the
-  image is published into a worker's task pipe **before** any task that
-  references it (and retired only after), FIFO pipe ordering makes each
-  response old-or-new, never mixed.
+- Hot swap stays atomic *across processes*: every task names the
+  registry generation it must run on and carries that generation's
+  image descriptor, and a worker runs it on exactly that image,
+  attaching it first if it holds another. So each response is computed
+  on the one generation its :class:`~repro.serving.server.InferenceResponse`
+  reports, old or new, never mixed.
 - Per-request deadlines travel with the task, so the worker drops a
   batch that can no longer meet them
   (:class:`~repro.errors.DeadlineExceededError`).
 - Workers are supervised: a dead child (segfault, OOM kill) fails its
   in-flight batches fast with :class:`~repro.errors.WorkerCrashedError`
-  and is respawned from the shared images — a cold respawn re-attaches,
-  it never recompiles.
+  and is respawned from the shared images — a cold respawn attaches on
+  its first task, it never recompiles.
 - Wedged workers are detected, not just dead ones: with
   ``wedge_timeout_s`` set, workers heartbeat the *start* of every batch
   over the result pipe, and the collector SIGKILLs any worker whose
@@ -46,20 +46,16 @@ compile passes:
 Wire protocol (one dedicated pipe pair per worker, so a SIGKILL mid-
 operation can never poison a lock shared with its siblings)::
 
-    parent -> worker : ("publish", descriptor)
-                       ("retire", endpoint, below_generation)
-                       ("task", batch_id, endpoint, generation, x,
+    parent -> worker : ("task", batch_id, endpoint, generation, x,
                                deadline, descriptor)
                        ("stop",)
-
-Task sends happen outside the server lock (batch payloads can exceed
-the pipe buffer; a blocking send under the lock would deadlock the
-collector) and every task carries its image descriptor, so the
-``publish``/``retire`` broadcasts are best-effort: a worker that missed
-one attaches from the task itself.
     worker -> parent : ("begin", batch_id)        # wedge-watchdog heartbeat
                        ("reply", batch_id, outcome)  # (generation, y)
                                                      # or an exception
+
+The task is the only way a worker gets an image. Task sends happen
+outside the server lock (batch payloads can exceed the pipe buffer; a
+blocking send under the lock would deadlock the collector).
 
 See the "Multi-process serving" section of ``docs/serving_runtime.md``.
 """
@@ -67,7 +63,6 @@ See the "Multi-process serving" section of ``docs/serving_runtime.md``.
 from __future__ import annotations
 
 import os
-import select
 import threading
 import time
 from multiprocessing import connection
@@ -85,20 +80,6 @@ from repro.serving.shm import attach_image, publish_image
 
 #: How long stop() waits for a worker to exit before terminating it.
 _JOIN_TIMEOUT_S = 5.0
-
-
-def _writable(conn) -> bool:
-    """True when a small send on ``conn`` will not block.
-
-    POSIX reports a pipe writable only while at least ``PIPE_BUF`` bytes
-    fit, and broadcast messages are far smaller than that, so a positive
-    answer means the send completes without blocking.
-    """
-    try:
-        _, ready, _ = select.select([], [conn], [], 0)
-    except (OSError, ValueError):
-        return False
-    return bool(ready)
 
 
 class BatchGate:
@@ -176,54 +157,28 @@ class BatchGate:
             time.sleep(0.001)
 
 
-def _worker_main(task_conn, result_conn, descriptors, gate,
-                 heartbeat) -> None:
-    """Worker process body: attach shared images, serve tasks until stop.
+def _worker_main(task_conn, result_conn, gate, heartbeat) -> None:
+    """Worker process body: serve tasks until stop.
 
-    ``descriptors`` seeds the initial images (a respawned worker gets the
-    current image set the same way). Later generations arrive as
-    best-effort ``publish`` messages, but every task also carries its own
-    image descriptor, so a worker that missed (or has not yet received) a
-    publish simply attaches on first use — no ordering between publishes
-    and tasks is load-bearing. With ``heartbeat`` on
-    (the parent runs a wedge watchdog), every task is acknowledged with
-    a ``("begin", batch_id)`` message *before* the forward starts — the
+    The worker keeps one attached image per endpoint. A task that names
+    another generation than the attached one (a newer one after a swap,
+    or an older one a slower dispatcher sent late) closes it and attaches
+    from the descriptor the task carries: the parent keeps a segment
+    linked while any batch of its generation is in flight, so that attach
+    cannot race the unlink. A respawned worker starts with no image and
+    attaches on its first task. With ``heartbeat`` on (the parent runs a
+    wedge watchdog), every task is acknowledged with a
+    ``("begin", batch_id)`` message *before* the forward starts — the
     parent times the gap between that heartbeat and the reply.
     """
-    images: dict[str, dict[int, object]] = {}
-
-    def publish(descriptor) -> None:
-        try:
-            attached = attach_image(descriptor)
-        except FileNotFoundError:
-            # The parent already retired this generation: every task that
-            # referenced it resolved before the unlink, so no task for it
-            # can still be behind us in the pipe. Nothing to install.
-            return
-        images.setdefault(descriptor["endpoint"], {})[
-            descriptor["generation"]
-        ] = attached
-
-    for descriptor in descriptors:
-        publish(descriptor)
+    images: dict[str, object] = {}
     while True:
         try:
             message = task_conn.recv()
         except (EOFError, OSError):
             break  # parent is gone; nothing left to serve
-        kind = message[0]
-        if kind == "stop":
+        if message[0] == "stop":
             break
-        if kind == "publish":
-            publish(message[1])
-            continue
-        if kind == "retire":
-            _, endpoint, below = message
-            generations = images.get(endpoint, {})
-            for generation in [g for g in generations if g < below]:
-                generations.pop(generation).close()
-            continue
-        # ("task", batch_id, endpoint, generation, x, deadline, descriptor)
         _, batch_id, endpoint, generation, x, deadline, descriptor = message
         try:
             if heartbeat:
@@ -235,15 +190,13 @@ def _worker_main(task_conn, result_conn, descriptors, gate,
             if gate is not None:
                 gate.hold_if_armed()
             check_batch_deadline(deadline)
-            if generation not in images.get(endpoint, {}):
-                # The publish broadcast for this generation was dropped
-                # (or is still in the pipe behind us): attach from the
-                # descriptor the task itself carries. The parent keeps an
-                # image linked while any batch of its generation is in
-                # flight, so this attach cannot race the unlink.
-                publish(descriptor)
-            network = images[endpoint][generation].network
-            outcome = generation, np.asarray(network.inference_forward(x))
+            image = images.get(endpoint)
+            if image is None or image.generation != generation:
+                if image is not None:
+                    images.pop(endpoint).close()
+                image = images[endpoint] = attach_image(descriptor)
+            y = image.network.inference_forward(x)
+            outcome = generation, np.asarray(y)
         except BaseException as exc:  # noqa: BLE001 - forwarded to parent
             outcome = exc
         try:
@@ -251,9 +204,8 @@ def _worker_main(task_conn, result_conn, descriptors, gate,
         except Exception:
             # An exception that does not pickle still fails its batch.
             result_conn.send(("reply", batch_id, RuntimeError(repr(outcome))))
-    for generations in images.values():
-        for attached in generations.values():
-            attached.close()
+    for image in images.values():
+        image.close()
 
 
 class _Worker:
@@ -277,12 +229,11 @@ class _Worker:
         # the reap can tell "killed for wedging" from an ordinary crash
         # and raise WorkerWedgedError instead of WorkerCrashedError.
         self.wedged = False
-        # Serialises writes to task_conn. Task sends happen *outside* the
-        # server lock — a batch payload can exceed the pipe buffer, and a
-        # blocking send under the lock would deadlock against the
-        # collector (which needs the lock to drain the result pipe the
-        # worker is waiting on). Dispatchers block on this mutex;
-        # broadcasts only try-acquire it (their messages are droppable).
+        # Serialises writes to task_conn between dispatchers and stop().
+        # Task sends happen *outside* the server lock — a batch payload
+        # can exceed the pipe buffer, and a blocking send under the lock
+        # would deadlock against the collector (which needs the lock to
+        # drain the result pipe the worker is waiting on).
         self.send_mutex = threading.Lock()
 
     def close_pipes(self) -> None:
@@ -354,9 +305,9 @@ class MPInferenceServer(InferenceServer):
 
         self._context = multiprocessing.get_context(start_method)
         # The core's lock also guards workers, images and the
-        # current-generation map: the swap protocol's ordering guarantees
-        # (publish broadcast before the generation map moves, tasks
-        # tagged under the same lock) all hang off its critical sections.
+        # current-generation map: tasks are tagged with a generation
+        # under it, and a superseded image is unlinked under it only once
+        # no in-flight batch names its generation.
         self._closing = False
         self._workers: list[_Worker] = []
         self._images: dict[str, dict[int, object]] = {}
@@ -474,20 +425,19 @@ class MPInferenceServer(InferenceServer):
         Delegates to
         :meth:`~repro.serving.registry.ModelRegistry.swap_from_store`;
         the registry subscription publishes the new generation's shared
-        image to every worker before any task is tagged with it, so each
-        response is computed entirely on one generation.
+        image before any task is tagged with it, and every task runs on
+        exactly the generation it names, so each response is computed
+        entirely on one generation.
         """
         return self.registry.swap_from_store(endpoint, path, mmap=mmap)
 
     def _on_publish(self, endpoint: str, network, generation: int) -> None:
         """Registry subscription: share a newly published generation.
 
-        Ordering is the heart of cross-process swap atomicity: the image
-        is broadcast into every worker's task pipe *before* the current-
-        generation map moves, and tasks are tagged under the same lock —
-        so by pipe FIFO a worker always installs generation G before the
-        first task tagged G arrives, and the retire message trails the
-        last task of the old generation.
+        The segment is published before the current-generation map moves
+        under the lock, so the first task tagged with the new generation
+        already finds its descriptor. Nothing is sent to the workers:
+        each attaches the generation on the first task that names it.
         """
         if not self.running:
             return
@@ -503,41 +453,15 @@ class MPInferenceServer(InferenceServer):
                 # endpoint backwards.
                 image.close_and_unlink()
                 return
-            self._broadcast(("publish", image.descriptor))
             self._images.setdefault(endpoint, {})[generation] = image
             self._current[endpoint] = generation
-            self._broadcast(("retire", endpoint, generation))
             self._maybe_unlink(endpoint)
-
-    def _broadcast(self, message) -> None:
-        # Caller holds self._lock, so this must NEVER block: a full task
-        # pipe (large batches queued) or a dispatcher mid-send would
-        # otherwise deadlock the collector. Both broadcast kinds are
-        # droppable — tasks carry their own image descriptor, so a missed
-        # "publish" just means the worker attaches on first use, and
-        # "retire" thresholds are cumulative, so the next one that lands
-        # closes everything an earlier dropped one would have. Skip any
-        # worker whose pipe is busy or not writable.
-        for worker in self._workers:
-            if not worker.alive:
-                continue
-            if not worker.send_mutex.acquire(blocking=False):
-                continue
-            try:
-                if not _writable(worker.task_conn):
-                    continue
-                worker.task_conn.send(message)
-            except (OSError, ValueError):
-                pass
-            finally:
-                worker.send_mutex.release()
 
     def _maybe_unlink(self, endpoint: str) -> None:
         # Caller holds self._lock. A superseded image can be unlinked once
-        # no dispatched batch still references its generation: at that
-        # point every worker that ever ran a task on it has already
-        # attached (it had to, to produce the reply), and workers that
-        # never will are free to ignore the stale publish message.
+        # no dispatched batch still names its generation: no task can
+        # attach it any more, and a worker still attached keeps its
+        # mapping until its next task names another generation.
         current = self._current.get(endpoint)
         generations = self._images.get(endpoint, {})
         referenced = {
@@ -588,7 +512,7 @@ class MPInferenceServer(InferenceServer):
                     error = None
                     descriptor = self._images[endpoint][generation].descriptor
                     worker.load += 1
-                    batch.worker_index = worker.index
+                    batch.worker = worker
                     batch.generation = generation
             if error is not None:
                 self._finish(batch_id, error)
@@ -610,7 +534,7 @@ class MPInferenceServer(InferenceServer):
                     worker.alive = False
                     if self._inflight.get(batch_id) is batch:
                         worker.load -= 1
-                        batch.worker_index = None
+                        batch.worker = None
                 self._wake_collector()
 
     def _pick_worker(self):
@@ -630,22 +554,14 @@ class MPInferenceServer(InferenceServer):
         self._next_worker += 1
         return best
 
-    def _worker_in_slot(self, index: int):
-        # Caller holds self._lock.
-        for worker in self._workers:
-            if worker.index == index:
-                return worker
-        return None
-
     def _take(self, batch_id: int):
         # Caller holds self._lock: also release the batch's worker load
         # and any superseded image it was the last to reference.
         batch = super()._take(batch_id)
         if batch is not None:
             self._maybe_unlink(batch.endpoint)
-            worker = self._worker_in_slot(batch.worker_index)
-            if worker is not None and worker.load > 0:
-                worker.load -= 1
+            if batch.worker is not None:
+                batch.worker.load -= 1
         return batch
 
     # -- worker supervision --------------------------------------------------
@@ -656,13 +572,9 @@ class MPInferenceServer(InferenceServer):
         # feeder lock dies with whoever held it.
         task_recv, task_send = self._context.Pipe(duplex=False)
         result_recv, result_send = self._context.Pipe(duplex=False)
-        descriptors = [
-            self._images[endpoint][generation].descriptor
-            for endpoint, generation in self._current.items()
-        ]
         process = self._context.Process(
             target=_worker_main,
-            args=(task_recv, result_send, descriptors, self.batch_gate,
+            args=(task_recv, result_send, self.batch_gate,
                   self.wedge_timeout_s is not None),
             name=f"repro-mp-worker-{index}",
             daemon=True,
@@ -764,7 +676,7 @@ class MPInferenceServer(InferenceServer):
             for batch in self._inflight.values():
                 if batch.began_at is None or now - batch.began_at < timeout:
                     continue
-                worker = self._worker_in_slot(batch.worker_index)
+                worker = batch.worker
                 if (worker is not None and worker.alive
                         and not worker.wedged):
                     # Marked before the kill so _reap can tell a wedge
@@ -806,7 +718,7 @@ class MPInferenceServer(InferenceServer):
             orphaned = [
                 self._take(batch_id)
                 for batch_id, batch in list(self._inflight.items())
-                if batch.worker_index == worker.index
+                if batch.worker is worker
             ]
             closing = self._closing
         worker.process.join(timeout=_JOIN_TIMEOUT_S)

@@ -134,7 +134,7 @@ class _Batch:
 
     __slots__ = ("endpoint", "items", "rows", "padded", "padded_steps",
                  "lengths", "time_axis", "closed", "attempt", "deadline",
-                 "generation", "worker_index", "began_at")
+                 "generation", "worker", "began_at")
 
     def __init__(self, endpoint, items, rows, padded, padded_steps,
                  lengths, time_axis, closed, attempt):
@@ -152,9 +152,9 @@ class _Batch:
         # batch formation, so once it passes every member has missed.
         self.deadline = None if None in deadlines else max(deadlines)
         # Process-executor bookkeeping: the generation the batch was
-        # tagged with, the worker slot running it, and its heartbeat.
+        # tagged with, the worker running it, and its heartbeat.
         self.generation = None
-        self.worker_index = None
+        self.worker = None
         self.began_at = None
 
 

@@ -124,6 +124,32 @@ class TestWorkerCrash:
         )
         assert server.stats()["respawns"] == 1
 
+    def test_respawn_after_swap_serves_the_new_generation(
+        self, gated_server
+    ):
+        # A respawned worker starts with no image: it must attach the
+        # generation its first task names (the swapped-in one), not the
+        # one the server started with.
+        server, gate, x, expected = gated_server
+        new_net = _fc_net(seed=5)
+        new_expected = new_net.inference_forward(x[None])[0]
+        assert not np.array_equal(new_expected, expected)
+        server.registry.swap("default", new_net)
+        response = server.submit(x).result(60.0)
+        assert response.generation == 1
+        np.testing.assert_array_equal(response.y, new_expected)
+        gate.arm()
+        future = server.submit(x)
+        assert gate.entered.wait(30.0), "worker never entered the batch"
+        os.kill(gate.pid.value, signal.SIGKILL)
+        with pytest.raises(WorkerCrashedError):
+            future.result(30.0)
+        gate.open()
+        response = server.submit(x).result(120.0)
+        assert response.generation == 1
+        np.testing.assert_array_equal(response.y, new_expected)
+        assert server.stats()["respawns"] == 1
+
     def test_stop_with_wedged_worker_does_not_hang(self):
         # stop(drain_timeout_s=...) must bound shutdown even when a
         # worker never answers: the wedged batch fails with

@@ -210,3 +210,56 @@ class TestImageValidation:
         image = publish_image("default", net, 0)
         image.close_and_unlink()
         image.close_and_unlink()  # second unlink: name already gone
+
+
+class TestWorkerAttachesFromTask:
+    def test_each_task_runs_on_the_generation_it_names(self, rng):
+        # The process server's worker loop, run in a thread over real
+        # pipes: the task is the only way a worker gets an image, so
+        # alternating generations must re-attach each time, and each
+        # reply must be that generation's forward bit for bit.
+        import multiprocessing
+        import threading
+
+        from repro.serving.multiproc import _worker_main
+
+        nets = [_fc_net(seed).compile_inference() for seed in (0, 7)]
+        images = [
+            publish_image("default", net, generation)
+            for generation, net in enumerate(nets)
+        ]
+        task_recv, task_send = multiprocessing.Pipe(duplex=False)
+        result_recv, result_send = multiprocessing.Pipe(duplex=False)
+        worker = threading.Thread(
+            target=_worker_main, args=(task_recv, result_send, None, False),
+            daemon=True,
+        )
+        worker.start()
+        try:
+            x = rng.normal(size=(3, 32))
+            expected = [net.inference_forward(x) for net in nets]
+            assert not np.array_equal(*expected)
+            for batch_id, generation in enumerate([0, 1, 0, 1, 1]):
+                task_send.send((
+                    "task", batch_id, "default", generation, x, None,
+                    images[generation].descriptor,
+                ))
+                assert result_recv.poll(30.0), "worker never replied"
+                kind, replied_id, outcome = result_recv.recv()
+                assert (kind, replied_id) == ("reply", batch_id)
+                assert not isinstance(outcome, BaseException), outcome
+                assert outcome[0] == generation
+                np.testing.assert_array_equal(
+                    outcome[1], expected[generation]
+                )
+            task_send.send(("stop",))
+            worker.join(30.0)
+            assert not worker.is_alive(), "('stop',) did not end the loop"
+        finally:
+            # EOF on the task pipe also ends the loop if an assert fired.
+            task_send.close()
+            worker.join(30.0)
+            for conn in (task_recv, result_recv, result_send):
+                conn.close()
+            for image in images:
+                image.close_and_unlink()
