@@ -134,7 +134,7 @@ def run_latency_sweep() -> ExperimentTable:
         )
 
     # What the tuner actually uses the prior for — ranking *backends* at
-    # a fixed layer shape (the keep_per_layer pruning) — must agree with
+    # a fixed layer shape (its two-per-layer pruning) — must agree with
     # the measurement: the gated check.
     cells = {
         (r["k"], r["bits"], r["backend"]): r for r in records

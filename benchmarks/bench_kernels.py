@@ -23,7 +23,6 @@ skipped while every speedup assertion still runs.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -44,7 +43,7 @@ from repro.nn import BlockCirculantConv2D
 from repro.nn.im2col import im2col
 from repro.nn.module import Parameter
 
-from conftest import BENCH_SMOKE
+from conftest import BENCH_SMOKE, best_of
 
 
 def _block_inputs(n: int, k: int, batch: int = 8, seed: int = 0):
@@ -137,12 +136,7 @@ class TestAlgorithm1Kernel:
         benchmark(block_circulant_forward, w, x)
         circulant_time = benchmark.stats.stats.min
 
-        dense_times = []
-        for _ in range(5):
-            start = time.perf_counter()
-            xd @ dense.T
-            dense_times.append(time.perf_counter() - start)
-        dense_time = min(dense_times)
+        dense_time = best_of(lambda: xd @ dense.T, 5)
         print(
             f"\nn={n}, k={k}: block-circulant {circulant_time * 1e3:.2f} ms "
             f"vs dense {dense_time * 1e3:.2f} ms "
@@ -158,12 +152,7 @@ def _assert_cached_beats_seed(benchmark, fast_fn, seed_fn, floor, label):
     benchmark(fast_fn)
     cached_time = benchmark.stats.stats.min
     np.testing.assert_allclose(fast_fn(), seed_fn(), atol=1e-10)
-    seed_times = []
-    for _ in range(20):
-        start = time.perf_counter()
-        seed_fn()
-        seed_times.append(time.perf_counter() - start)
-    seed_time = min(seed_times)
+    seed_time = best_of(seed_fn, 20)
     speedup = seed_time / cached_time
     print(
         f"\n{label}: seed {seed_time * 1e6:.0f} us "

@@ -26,14 +26,13 @@ every assertion still runs):
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
 from repro.fftcore import CountingFFTBackend, get_backend
 from repro.nn import BlockCirculantLSTM, Sequential
 
-from conftest import BENCH_SMOKE, report
+from conftest import BENCH_SMOKE, best_of, report
 from repro.experiments.tables import BandCheck, ExperimentTable
 
 _FEATURES = 512
@@ -84,12 +83,7 @@ def _einsum_lstm(dense: dict, x: np.ndarray, hidden: int) -> np.ndarray:
 
 def _time(fn, repeats: int) -> float:
     fn()  # warm caches and allocators outside the timed region
-    best = float("inf")
-    for _ in range(repeats):
-        begin = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - begin)
-    return best
+    return best_of(fn, repeats)
 
 
 def run_rnn_step() -> ExperimentTable:

@@ -25,7 +25,7 @@ import numpy as np
 from repro.nn import BlockCirculantDense, ReLU, Sequential
 from repro.serving import InferenceServer
 
-from conftest import BENCH_SMOKE
+from conftest import BENCH_SMOKE, best_of
 
 # Serving-shaped workload: small enough per request that Python/FFT call
 # overhead dominates a single-sample forward — exactly the regime where
@@ -62,13 +62,11 @@ class TestMicroBatchedThroughput:
 
         # The same 16 requests served one by one — what the scheduler
         # replaces. Timed inline, best of 20 rounds.
-        sequential_times = []
-        for _ in range(20):
-            start = time.perf_counter()
+        def sequential():
             for x in singles:
                 net.inference_forward(x)
-            sequential_times.append(time.perf_counter() - start)
-        sequential_time = min(sequential_times)
+
+        sequential_time = best_of(sequential, 20)
 
         # Same rows in, same rows out.
         stacked = np.concatenate(

@@ -22,8 +22,6 @@ runs.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.nn import (
@@ -35,7 +33,7 @@ from repro.nn import (
 )
 from repro.store import load_artifact, save_artifact
 
-from conftest import BENCH_SMOKE
+from conftest import BENCH_SMOKE, best_of
 
 # Serving-sized FC stack. Rebuild cost scales with parameter count (the
 # random init + npz copies + weight FFTs); the store path's cost is a
@@ -89,12 +87,7 @@ class TestColdStart:
         np.testing.assert_array_equal(rebuild_and_serve(), expected)
         np.testing.assert_array_equal(load_and_serve(), expected)
 
-        rebuild_times = []
-        for _ in range(_ROUNDS):
-            start = time.perf_counter()
-            rebuild_and_serve()
-            rebuild_times.append(time.perf_counter() - start)
-        rebuild_time = min(rebuild_times)
+        rebuild_time = best_of(rebuild_and_serve, _ROUNDS)
 
         benchmark(load_and_serve)
         store_time = benchmark.stats.stats.min

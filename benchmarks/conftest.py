@@ -10,12 +10,28 @@ paper-vs-measured table, and asserts the acceptance bands. Run with::
 from __future__ import annotations
 
 import os
+import time
 
 from repro.experiments.tables import ExperimentTable
 
 #: ``BENCH_SMOKE=1`` (any value but empty or ``0``) selects the
 #: reduced-size CI smoke variant of every suite that has one.
 BENCH_SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
+
+
+def best_of(fn, rounds: int) -> float:
+    """Seconds of the fastest of ``rounds`` timed calls of ``fn()``.
+
+    The inline timing behind every gate's strawman side (the fast side is
+    timed by the ``benchmark`` fixture): ``min`` is the statistic least
+    disturbed by scheduler noise. Warm-up calls are the caller's business.
+    """
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def report(table: ExperimentTable) -> ExperimentTable:

@@ -45,7 +45,6 @@ from repro.circulant.projection import (
     nearest_block_circulant,
     nearest_circulant_vector,
 )
-from repro.circulant.toeplitz import ToeplitzMatrix
 
 __all__ = [
     "CirculantMatrix",
@@ -62,6 +61,5 @@ __all__ = [
     "nearest_block_circulant",
     "nearest_circulant_vector",
     "SpectralWeightCache",
-    "ToeplitzMatrix",
     "weight_spectrum",
 ]

@@ -280,8 +280,7 @@ def apply_plan_inplace(network, plan: ExecutionPlan):
     return network
 
 
-def planned_view(network, plan: ExecutionPlan, *, compile: bool = True,
-                 cache=None):
+def planned_view(network, plan: ExecutionPlan, *, compile: bool = True):
     """A deep copy of ``network`` configured according to ``plan``.
 
     The generalisation of :func:`repro.quant.quantized_view`: the
@@ -289,10 +288,10 @@ def planned_view(network, plan: ExecutionPlan, *, compile: bool = True,
     untouched. When ``plan.activation_bits`` is set and the network has
     no activation quantisers yet, they are interleaved around every layer
     exactly as ``quantized_view`` does. By default the view is compiled
-    for serving (``compile=False`` returns it uncompiled; pass ``cache=``
-    to share a :class:`~repro.circulant.spectral_cache.SpectralWeightCache`
-    — the registry's zero-FFT ``apply_plan`` path seeds one before
-    compiling). Returns the configured view.
+    for serving with a fresh spectral cache; ``compile=False`` returns it
+    uncompiled (the registry's zero-FFT ``apply_plan`` path does that,
+    then seeds a cache and compiles the view itself). Returns the
+    configured view.
     """
     from repro.quant.network import ActivationQuantizer, _first_activation_bits
 
@@ -309,5 +308,5 @@ def planned_view(network, plan: ExecutionPlan, *, compile: bool = True,
         clone = pipeline
     apply_plan_inplace(clone, plan)
     if compile:
-        clone.compile_inference(cache)
+        clone.compile_inference()
     return clone

@@ -54,9 +54,9 @@ from repro.models.descriptors import ConvSpec, DenseSpec
 from repro.plan.execution_plan import ExecutionPlan, LayerPlan, planned_view
 from repro.utils.rng import make_rng
 
-#: Calibration energies when the caller passes no platform model: the
-#: 45 nm ASIC operating point of :func:`repro.arch.platforms.asic_45nm`.
-_DEFAULT_ENERGY = EnergyModel(
+#: Operation energies of the energy prior: the 45 nm ASIC operating
+#: point of :func:`repro.arch.platforms.asic_45nm`.
+_ENERGY = EnergyModel(
     mult_energy_j=0.35e-12,
     add_energy_j=0.05e-12,
     register_energy_j=0.01e-12,
@@ -269,15 +269,37 @@ class TuningReport:
         }
 
 
-def _plan_prior(plan: ExecutionPlan, works, calibration,
-                energy: EnergyModel) -> tuple[float, float]:
+def _plan_prior(plan: ExecutionPlan, works, calibration) -> tuple[float, float]:
     latency = 0.0
     joules = 0.0
     for entry, (backend_default, work) in zip(plan.layers, works):
         backend = entry.backend if entry.backend is not None else backend_default
         latency += prior_latency_s(work, backend, calibration)
-        joules += prior_energy_j(work, entry.bits, energy)
+        joules += prior_energy_j(work, entry.bits, _ENERGY)
     return latency, joules
+
+
+def _price_layers(network, sample_input, backends):
+    """The planned layers, their ``(default backend, LayerWork)`` pairs
+    (positional; the backend is ``None`` on non-spectral layers) and one
+    calibration of ``backends`` plus every backend the network is built
+    on, which the as-built plan's prior needs."""
+    planned = list(network.planned_layers())
+    shapes = _trace_planned_shapes(network, sample_input)
+    works = [
+        (
+            get_backend(layer.backend).name if layer.spectral else None,
+            _layer_work(path, layer, shapes.get(path)),
+        )
+        for path, layer in planned
+    ]
+    calibration = calibrate_backends(
+        sorted(set(backends) | {
+            default for default, _work in works if default is not None
+        }),
+        (w.fft_size for _, w in works if w is not None),
+    )
+    return planned, works, calibration
 
 
 def tune(network, sample_input, *,
@@ -287,10 +309,8 @@ def tune(network, sample_input, *,
          objective: str = "latency",
          tolerance: float = 1e-9,
          latency_slack: float = 0.10,
-         keep_per_layer: int = 2,
          max_plans: int = 12,
-         repeats: int = 3,
-         energy_model: EnergyModel | None = None) -> TuningReport:
+         repeats: int = 3) -> TuningReport:
     """Search the plan space for ``network`` and return a measured winner.
 
     ``network`` is a trained (not necessarily compiled) ``Sequential``;
@@ -314,34 +334,17 @@ def tune(network, sample_input, *,
     backends = tuple(backends) if backends is not None else available_backends()
     backends = tuple(get_backend(b).name for b in backends)
     bits = tuple(bits)
-    energy = energy_model if energy_model is not None else _DEFAULT_ENERGY
     default_backend = get_backend(None).name
 
-    planned = list(network.planned_layers())
+    planned, works, calibration = _price_layers(
+        network, sample_input, backends
+    )
     if not planned:
         raise PlanError("network has no parameterised layers to plan")
-    shapes = _trace_planned_shapes(network, sample_input)
-    # (default backend name, LayerWork) per planned layer, positional.
-    works = []
-    spectral_mask = []
-    for path, layer in planned:
-        spectral = layer.spectral
-        spectral_mask.append(spectral)
-        works.append((
-            get_backend(layer.backend).name if spectral else None,
-            _layer_work(path, layer, shapes.get(path)),
-        ))
+    spectral_mask = [layer.spectral for _path, layer in planned]
 
-    # Calibrate the candidate backends plus whatever the network is
-    # already built on — the as-built plan's prior needs those too.
-    calibration = calibrate_backends(
-        sorted(set(backends) | {
-            default for default, _work in works if default is not None
-        }),
-        (w.fft_size for _, w in works if w is not None),
-    )
-
-    # Per-layer backend ranking by the latency prior, pruned.
+    # Per-layer backend ranking by the latency prior, pruned to the
+    # two best.
     ranked: list[list[str | None]] = []
     for spectral, (_default, work) in zip(spectral_mask, works):
         if not spectral:
@@ -350,10 +353,9 @@ def tune(network, sample_input, *,
         order = sorted(
             backends, key=lambda b: prior_latency_s(work, b, calibration)
         )
-        ranked.append(list(order[:max(1, keep_per_layer)]))
+        ranked.append(order[:2])
 
     as_built = ExecutionPlan.from_network(network)
-    n = len(planned)
 
     def spectral_uniform(backend: str | None, layer_bits=None) -> ExecutionPlan:
         return ExecutionPlan(
@@ -442,7 +444,7 @@ def tune(network, sample_input, *,
         ref = references[sig]
         scale = max(1.0, float(np.max(np.abs(ref))))
         err = float(np.max(np.abs(output - ref))) / scale
-        prior_s, prior_j = _plan_prior(plan, works, calibration, energy)
+        prior_s, prior_j = _plan_prior(plan, works, calibration)
         results.append(CandidateResult(
             plan=plan, label=label, seconds=seconds, max_rel_err=err,
             admitted=err <= tolerance, prior_seconds=prior_s,
@@ -483,8 +485,7 @@ def tune(network, sample_input, *,
 
 # -- fresh-build sweeps -------------------------------------------------------
 def sweep_table(build, sample_input, *, block_sizes, backends=None,
-                bits=(None,), repeats: int = 3,
-                energy_model: EnergyModel | None = None) -> list[dict]:
+                bits=(None,), repeats: int = 3) -> list[dict]:
     """Measured ``(k, backend, bits) → seconds`` table over fresh builds.
 
     ``build(k)`` must return a *fresh* trained-or-initialised network
@@ -497,21 +498,11 @@ def sweep_table(build, sample_input, *, block_sizes, backends=None,
     """
     backends = tuple(backends) if backends is not None else available_backends()
     backends = tuple(get_backend(b).name for b in backends)
-    energy = energy_model if energy_model is not None else _DEFAULT_ENERGY
     records: list[dict] = []
     for k in block_sizes:
         network = build(k)
-        planned = list(network.planned_layers())
-        shapes = _trace_planned_shapes(network, sample_input)
-        works = [
-            (
-                get_backend(layer.backend).name if layer.spectral else None,
-                _layer_work(path, layer, shapes.get(path)),
-            )
-            for path, layer in planned
-        ]
-        calibration = calibrate_backends(
-            backends, (w.fft_size for _, w in works if w is not None),
+        planned, works, calibration = _price_layers(
+            network, sample_input, backends
         )
         for backend in backends:
             for b in bits:
@@ -529,9 +520,7 @@ def sweep_table(build, sample_input, *, block_sizes, backends=None,
                 seconds, _ = measure_forward(
                     view, sample_input, repeats=repeats
                 )
-                prior_s, prior_j = _plan_prior(
-                    plan, works, calibration, energy
-                )
+                prior_s, prior_j = _plan_prior(plan, works, calibration)
                 records.append({
                     "k": int(k),
                     "backend": backend,

@@ -12,7 +12,7 @@ The pieces, documented end to end in ``docs/serving_runtime.md``:
 - :class:`~repro.serving.scheduler.MicroBatcher` /
   :class:`~repro.serving.scheduler.BatchPolicy` — dynamic micro-batching
   (collect up to ``max_batch`` requests or ``max_wait_ms``, whichever
-  first) and batch assembly with optional batch-axis padding;
+  first) and batch assembly, one row per request;
 - :class:`~repro.serving.registry.ModelRegistry` — named endpoints over
   multiple compiled networks (FC, CONV, quantised views) with atomic
   hot swap and per-endpoint generation counters;

@@ -62,6 +62,7 @@ See the "Multi-process serving" section of ``docs/serving_runtime.md``.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
@@ -74,7 +75,6 @@ from repro.errors import (
     WorkerCrashedError,
     WorkerWedgedError,
 )
-from repro.serving.resilience import BreakerPolicy, RetryPolicy
 from repro.serving.server import InferenceServer, check_batch_deadline
 from repro.serving.shm import attach_image, publish_image
 
@@ -248,10 +248,11 @@ class MPInferenceServer(InferenceServer):
     """Multi-process serving runtime over shared-memory endpoint images.
 
     Takes every :class:`~repro.serving.server.InferenceServer` keyword
-    (``max_batch``, ``max_wait_ms``, ``pad_to_multiple``,
-    ``bucket_multiple``, ``workers``, ``queue_depth``, ``retry``,
-    ``breaker``) with the same meaning — ``workers`` counts processes —
-    plus the process-specific ones below.
+    (``max_batch``, ``max_wait_ms``, ``bucket_multiple``, ``workers``,
+    ``queue_depth``, ``retry``, ``breaker``), passed through unchanged —
+    ``workers`` counts processes — plus the process-specific ones below.
+    Workers start with ``multiprocessing``'s ``"spawn"`` method, the only
+    one that is safe regardless of the parent's thread activity.
 
     Parameters
     ----------
@@ -265,9 +266,6 @@ class MPInferenceServer(InferenceServer):
         registry's subscription hook. Each worker attaches the *same*
         shared images — per-worker incremental memory is page tables,
         not weights.
-    start_method:
-        ``multiprocessing`` start method; the default ``"spawn"`` is the
-        only one that is safe regardless of the parent's thread activity.
     batch_gate:
         Optional :class:`BatchGate` for fault-injection tests.
     wedge_timeout_s:
@@ -279,31 +277,16 @@ class MPInferenceServer(InferenceServer):
         watchdog and the heartbeats.
     """
 
-    def __init__(self, model, *, workers: int = 2, max_batch: int = 16,
-                 max_wait_ms: float = 2.0,
-                 pad_to_multiple: int | None = None,
-                 bucket_multiple: int | None = None,
-                 queue_depth: int | None = None,
-                 start_method: str = "spawn",
-                 batch_gate: BatchGate | None = None,
-                 wedge_timeout_s: float | None = None,
-                 retry: RetryPolicy | None = None,
-                 breaker: BreakerPolicy | None = None):
+    def __init__(self, model, *, batch_gate: BatchGate | None = None,
+                 wedge_timeout_s: float | None = None, **kwargs):
         if wedge_timeout_s is not None and wedge_timeout_s <= 0:
             raise ConfigurationError(
                 f"wedge_timeout_s must be > 0, got {wedge_timeout_s}"
             )
-        super().__init__(
-            model, max_batch=max_batch, max_wait_ms=max_wait_ms,
-            pad_to_multiple=pad_to_multiple,
-            bucket_multiple=bucket_multiple, workers=workers,
-            queue_depth=queue_depth, retry=retry, breaker=breaker,
-        )
+        super().__init__(model, **kwargs)
         self.batch_gate = batch_gate
         self.wedge_timeout_s = wedge_timeout_s
-        import multiprocessing
-
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context("spawn")
         # The core's lock also guards workers, images and the
         # current-generation map: tasks are tagged with a generation
         # under it, and a superseded image is unlinked under it only once

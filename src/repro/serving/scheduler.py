@@ -19,10 +19,8 @@ cost nothing to include), FIFO order is preserved, and an idle queue
 never busy-waits.
 
 :func:`assemble_batch` then stacks the per-request samples into one
-batch-major array — optionally zero-padding the batch axis up to a
-multiple of ``pad_to_multiple`` so the downstream GEMM sees a small set
-of recurring shapes (BLAS and FFT plan caches both like that) — and the
-caller scatters the first ``rows`` output rows back to the requests.
+batch-major array, one row per request, and the caller scatters the
+output rows back to the requests in order.
 """
 
 from __future__ import annotations
@@ -41,10 +39,8 @@ class BatchPolicy:
     """The two latency/throughput knobs of dynamic micro-batching.
 
     ``max_batch`` bounds how much work one compiled forward may carry
-    (throughput lever), ``max_wait_ms`` bounds how long the first request
-    in a window may wait for company (latency lever), and
-    ``pad_to_multiple`` optionally rounds the batch axis up with zero
-    rows so the spectral GEMM sees recurring shapes.
+    (throughput lever), and ``max_wait_ms`` bounds how long the first
+    request in a window may wait for company (latency lever).
 
     ``bucket_multiple`` is the sequence-traffic lever: on an endpoint
     whose network declares a variable-length time axis
@@ -61,7 +57,6 @@ class BatchPolicy:
 
     max_batch: int = 16
     max_wait_ms: float = 2.0
-    pad_to_multiple: int | None = None
     bucket_multiple: int | None = None
 
     def __post_init__(self):
@@ -72,10 +67,6 @@ class BatchPolicy:
         if self.max_wait_ms < 0:
             raise ConfigurationError(
                 f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
-            )
-        if self.pad_to_multiple is not None and self.pad_to_multiple < 1:
-            raise ConfigurationError(
-                f"pad_to_multiple must be >= 1, got {self.pad_to_multiple}"
             )
         if self.bucket_multiple is not None and self.bucket_multiple < 1:
             raise ConfigurationError(
@@ -202,8 +193,7 @@ def bucket_key(shape: tuple[int, ...], time_axis: int | None,
 def assemble_sequence_batch(
     samples: list[np.ndarray], time_axis: int,
     bucket_multiple: int | None = None,
-    pad_to_multiple: int | None = None,
-) -> tuple[np.ndarray, int, list[int]]:
+) -> tuple[np.ndarray, list[int]]:
     """Stack ragged sequence samples into one zero-padded batch.
 
     All samples must agree on every axis *except* ``time_axis`` (the
@@ -215,8 +205,7 @@ def assemble_sequence_batch(
     the caller scatters ``y[i, :len_i]`` (slicing the *output's* time
     axis) back to request ``i`` using the returned true ``lengths``.
 
-    Returns ``(batch, rows, lengths)``; ``rows`` counts real samples
-    (the batch axis still honours ``pad_to_multiple``).
+    Returns ``(batch, lengths)``, one batch row per sample.
     """
     if not samples:
         raise ConfigurationError(
@@ -240,30 +229,19 @@ def assemble_sequence_batch(
             )
     lengths = [shape[time_axis] for shape in shapes]
     padded_len = bucket_length(max(lengths), bucket_multiple)
-    rows = len(samples)
-    batch_rows = rows
-    if pad_to_multiple is not None and rows % pad_to_multiple:
-        batch_rows = -(-rows // pad_to_multiple) * pad_to_multiple
     shape = list(first)
     shape[time_axis] = padded_len
-    x = np.zeros((batch_rows, *shape), dtype=np.float64)
+    x = np.zeros((len(samples), *shape), dtype=np.float64)
     for i, sample in enumerate(samples):
         index: list = [i] + [slice(None)] * len(first)
         index[1 + time_axis] = slice(0, lengths[i])
         x[tuple(index)] = np.asarray(sample, dtype=np.float64)
-    return x, rows, lengths
+    return x, lengths
 
 
-def assemble_batch(
-    samples: list[np.ndarray], pad_to_multiple: int | None = None
-) -> tuple[np.ndarray, int]:
-    """Stack per-request samples into one batch-major array.
-
-    Returns ``(batch, rows)`` where ``rows`` is the number of real
-    samples; when ``pad_to_multiple`` is given the batch axis is
-    zero-padded up to the next multiple, and the caller must scatter only
-    ``batch[:rows]`` back to the requests.
-    """
+def assemble_batch(samples: list[np.ndarray]) -> np.ndarray:
+    """Stack per-request samples into one batch-major array, one row
+    per sample."""
     if not samples:
         raise ConfigurationError("assemble_batch received no samples")
     shape = np.shape(samples[0])
@@ -273,11 +251,4 @@ def assemble_batch(
                 f"cannot assemble a batch from mixed sample shapes "
                 f"{shape} and {np.shape(sample)}"
             )
-    x = np.stack([np.asarray(s, dtype=np.float64) for s in samples])
-    rows = x.shape[0]
-    if pad_to_multiple is not None and rows % pad_to_multiple:
-        padded_rows = -(-rows // pad_to_multiple) * pad_to_multiple
-        padded = np.zeros((padded_rows, *x.shape[1:]), dtype=np.float64)
-        padded[:rows] = x
-        x = padded
-    return x, rows
+    return np.stack([np.asarray(s, dtype=np.float64) for s in samples])

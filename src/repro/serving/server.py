@@ -29,7 +29,7 @@ replaces the whole network atomically: a batch resolves its snapshot
 once, so it observes the old generation or the new one, never a mix.
 
 Request/response dataclasses, the scheduler knobs (``max_batch``,
-``max_wait_ms``, ``pad_to_multiple``) and the hot-swap contract are
+``max_wait_ms``, ``bucket_multiple``) and the hot-swap contract are
 documented end to end in ``docs/serving_runtime.md``.
 """
 
@@ -132,16 +132,14 @@ class InferenceResponse:
 class _Batch:
     """One assembled micro-batch, from dispatch until its reply."""
 
-    __slots__ = ("endpoint", "items", "rows", "padded", "padded_steps",
-                 "lengths", "time_axis", "closed", "attempt", "deadline",
+    __slots__ = ("endpoint", "items", "padded_steps", "lengths",
+                 "time_axis", "closed", "attempt", "deadline",
                  "generation", "worker", "began_at")
 
-    def __init__(self, endpoint, items, rows, padded, padded_steps,
-                 lengths, time_axis, closed, attempt):
+    def __init__(self, endpoint, items, padded_steps, lengths, time_axis,
+                 closed, attempt):
         self.endpoint = endpoint
         self.items = items            # [(request, future), ...], claimed
-        self.rows = rows              # real rows (the batch may be padded)
-        self.padded = padded          # zero rows appended by assembly
         self.padded_steps = padded_steps  # zero timesteps within the bucket
         self.lengths = lengths        # true sequence lengths, or None
         self.time_axis = time_axis    # sample time axis, or None
@@ -167,7 +165,7 @@ class InferenceServer:
         A :class:`~repro.serving.registry.ModelRegistry`, or a single
         network (registered under the ``"default"`` endpoint, compiled if
         it is not already).
-    max_batch, max_wait_ms, pad_to_multiple, bucket_multiple:
+    max_batch, max_wait_ms, bucket_multiple:
         The :class:`~repro.serving.scheduler.BatchPolicy` knobs, shared by
         every endpoint lane. ``bucket_multiple`` enables length-bucketed
         batching on sequence endpoints (networks declaring a
@@ -208,12 +206,11 @@ class InferenceServer:
 
     #: Per-endpoint counter names; stats() sums them for the flat view.
     _STAT_KEYS = ("requests", "responses", "batches", "batched_rows",
-                  "padded_rows", "padded_steps", "errors", "cancelled",
-                  "shed", "expired", "rejected", "retries")
+                  "padded_steps", "errors", "cancelled", "shed",
+                  "expired", "rejected", "retries")
 
     def __init__(self, model, *, max_batch: int = 16,
                  max_wait_ms: float = 2.0,
-                 pad_to_multiple: int | None = None,
                  bucket_multiple: int | None = None, workers: int = 2,
                  queue_depth: int | None = None,
                  retry: RetryPolicy | None = None,
@@ -231,7 +228,6 @@ class InferenceServer:
             self.registry.register(DEFAULT_ENDPOINT, model)
         self.policy = BatchPolicy(
             max_batch=max_batch, max_wait_ms=max_wait_ms,
-            pad_to_multiple=pad_to_multiple,
             bucket_multiple=bucket_multiple,
         )
         self.workers = workers
@@ -541,21 +537,20 @@ class InferenceServer:
         samples = [request.x for request, _ in items]
         try:
             if time_axis is None:
-                x, rows = assemble_batch(samples, self.policy.pad_to_multiple)
+                x = assemble_batch(samples)
                 lengths, padded_steps = None, 0
             else:
-                x, rows, lengths = assemble_sequence_batch(
-                    samples, time_axis, self.policy.bucket_multiple,
-                    self.policy.pad_to_multiple,
+                x, lengths = assemble_sequence_batch(
+                    samples, time_axis, self.policy.bucket_multiple
                 )
-                # Time-axis padding waste, in steps (rows x steps would
-                # conflate the two axes).
-                padded_steps = x.shape[1 + time_axis] * rows - sum(lengths)
+                # Time-axis padding waste, in zero steps.
+                steps = x.shape[1 + time_axis]
+                padded_steps = steps * len(samples) - sum(lengths)
         except Exception as exc:
             self._fail(endpoint, items, exc)
             return
-        batch = _Batch(endpoint, items, rows, x.shape[0] - rows,
-                       padded_steps, lengths, time_axis, closed, attempt)
+        batch = _Batch(endpoint, items, padded_steps, lengths, time_axis,
+                       closed, attempt)
         with self._lock:
             batch_id = next(self._batch_ids)
             self._inflight[batch_id] = batch
@@ -610,12 +605,13 @@ class InferenceServer:
             self._scatter(batch, *outcome)
 
     def _scatter(self, batch: _Batch, generation: int, y) -> None:
-        endpoint, items, rows = batch.endpoint, batch.items, batch.rows
-        y = y[:rows]
+        endpoint, items = batch.endpoint, batch.items
+        rows = len(items)
         if y.shape[0] != rows:
             # A model that collapses the batch axis would otherwise leave
             # the excess futures unresolved forever (zip stops at the
-            # shorter side); fail the whole batch loudly.
+            # shorter side), and one that adds rows has no row-to-request
+            # map; fail the whole batch loudly.
             self._fail(endpoint, items, RuntimeError(
                 f"endpoint {endpoint!r} returned {y.shape[0]} output rows "
                 f"for a batch of {rows} requests"
@@ -643,7 +639,7 @@ class InferenceServer:
                 latency_ms=(done - request.enqueued_at) * 1e3,
             ))
         self._bump(endpoint, responses=rows, batches=1, batched_rows=rows,
-                   padded_rows=batch.padded, padded_steps=batch.padded_steps)
+                   padded_steps=batch.padded_steps)
 
     def _fail(self, endpoint: str, items: list, exc: BaseException) -> None:
         # Deadline drops are accounted under "expired", not "errors".

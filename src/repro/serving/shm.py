@@ -105,8 +105,8 @@ class SharedEndpointImage:
         )
 
 
-def publish_image(endpoint: str, network, generation: int,
-                  context=None) -> SharedEndpointImage:
+def publish_image(endpoint: str, network,
+                  generation: int) -> SharedEndpointImage:
     """Serialise a compiled ``network`` into one shared-memory segment.
 
     Captures the image exactly as the artifact store would

@@ -1,106 +1,14 @@
-"""Tests for the extension features: Toeplitz/LDR matrices and
-multi-engine scaling."""
+"""Tests for the extension features: multi-engine scaling and the
+paper-value consistency checks."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.arch import fpga_cyclone_v, map_model
 from repro.arch.scaling import ScaledDeployment, engines_needed_for_throughput
-from repro.circulant.toeplitz import ToeplitzMatrix
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError
 from repro.models import default_lenet5_plan, lenet5_spec
-
-
-class TestToeplitzStructure:
-    def test_dense_structure(self, rng):
-        matrix = ToeplitzMatrix.random(6, seed=0)
-        dense = matrix.to_dense()
-        # Constant diagonals.
-        for d in range(-5, 6):
-            diag = np.diagonal(dense, d)
-            assert np.all(diag == diag[0])
-
-    def test_column_and_row_views(self, rng):
-        matrix = ToeplitzMatrix.random(5, seed=1)
-        dense = matrix.to_dense()
-        np.testing.assert_allclose(dense[:, 0], matrix.first_column)
-        np.testing.assert_allclose(dense[0, :], matrix.first_row)
-
-    def test_parameter_count_is_linear(self):
-        assert ToeplitzMatrix.random(64, seed=0).num_parameters == 127
-
-    def test_corner_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            ToeplitzMatrix(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-
-    def test_projection_of_exact_toeplitz_is_identity(self, rng):
-        original = ToeplitzMatrix.random(8, seed=2)
-        rebuilt = ToeplitzMatrix.from_dense(original.to_dense())
-        np.testing.assert_allclose(
-            rebuilt.first_column, original.first_column, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            rebuilt.first_row, original.first_row, atol=1e-12
-        )
-
-    def test_projection_averages_diagonals(self, rng):
-        dense = rng.normal(size=(4, 4))
-        projected = ToeplitzMatrix.from_dense(dense)
-        assert projected.first_column[1] == pytest.approx(
-            np.mean(np.diagonal(dense, -1))
-        )
-
-
-class TestToeplitzProducts:
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 16])
-    def test_matvec_matches_dense(self, rng, k):
-        matrix = ToeplitzMatrix.random(k, seed=3)
-        x = rng.normal(size=k)
-        np.testing.assert_allclose(
-            matrix.matvec(x), matrix.to_dense() @ x, atol=1e-9
-        )
-
-    def test_matvec_batched(self, rng):
-        matrix = ToeplitzMatrix.random(7, seed=4)
-        x = rng.normal(size=(5, 7))
-        np.testing.assert_allclose(
-            matrix.matvec(x), x @ matrix.to_dense().T, atol=1e-9
-        )
-
-    def test_rmatvec_is_transpose(self, rng):
-        matrix = ToeplitzMatrix.random(6, seed=5)
-        y = rng.normal(size=6)
-        np.testing.assert_allclose(
-            matrix.rmatvec(y), matrix.to_dense().T @ y, atol=1e-9
-        )
-
-    def test_shape_validation(self, rng):
-        with pytest.raises(ShapeError):
-            ToeplitzMatrix.random(6, seed=0).matvec(rng.normal(size=5))
-
-    @given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 24))
-    @settings(max_examples=40, deadline=None)
-    def test_matvec_property(self, seed, k):
-        rng = np.random.default_rng(seed)
-        matrix = ToeplitzMatrix.random(k, seed=int(seed % 9973))
-        x = rng.normal(size=k)
-        np.testing.assert_allclose(
-            matrix.matvec(x), matrix.to_dense() @ x, atol=1e-8
-        )
-
-    def test_circulant_is_a_toeplitz_special_case(self, rng):
-        from repro.circulant import CirculantMatrix
-
-        circulant = CirculantMatrix(rng.normal(size=8))
-        as_toeplitz = ToeplitzMatrix.from_dense(circulant.to_dense())
-        x = rng.normal(size=8)
-        np.testing.assert_allclose(
-            as_toeplitz.matvec(x), circulant.matvec(x), atol=1e-9
-        )
 
 
 class TestMultiEngineScaling:

@@ -90,22 +90,14 @@ class TestMicroBatcher:
             BatchPolicy(max_batch=0)
         with pytest.raises(ConfigurationError):
             BatchPolicy(max_wait_ms=-1.0)
-        with pytest.raises(ConfigurationError):
-            BatchPolicy(pad_to_multiple=0)
 
 
 class TestBatchAssembly:
     def test_stacks_rows(self, rng):
         samples = [rng.normal(size=4) for _ in range(3)]
-        x, rows = assemble_batch(samples)
-        assert x.shape == (3, 4) and rows == 3
+        x = assemble_batch(samples)
+        assert x.shape == (3, 4)
         np.testing.assert_array_equal(x, np.stack(samples))
-
-    def test_pads_batch_axis_with_zero_rows(self, rng):
-        samples = [rng.normal(size=4) for _ in range(5)]
-        x, rows = assemble_batch(samples, pad_to_multiple=4)
-        assert x.shape == (8, 4) and rows == 5
-        np.testing.assert_array_equal(x[5:], np.zeros((3, 4)))
 
     def test_rejects_mixed_shapes(self, rng):
         with pytest.raises(ShapeError):
@@ -222,62 +214,6 @@ class TestInferenceServer:
         np.testing.assert_allclose(
             y_conv, conv.inference_forward(x_conv[np.newaxis])[0], atol=1e-12
         )
-
-    def test_bad_sample_shape_rejected_at_submit(self, rng):
-        net = _fc_net().compile_inference()
-        with InferenceServer(net) as server:
-            with pytest.raises(ShapeError):
-                server.submit(rng.normal(size=33))
-
-    def test_unknown_endpoint_rejected_at_submit(self, rng):
-        net = _fc_net().compile_inference()
-        with InferenceServer(net) as server:
-            with pytest.raises(ConfigurationError):
-                server.submit(rng.normal(size=32), endpoint="nope")
-
-    def test_submit_requires_running_server(self, rng):
-        server = InferenceServer(_fc_net())
-        with pytest.raises(ConfigurationError):
-            server.submit(rng.normal(size=32))
-
-    def test_padded_batches_do_not_leak_into_outputs(self, rng):
-        net = _fc_net().compile_inference()
-        xs = rng.normal(size=(3, 32))
-        with InferenceServer(
-            net, max_batch=8, max_wait_ms=100.0, pad_to_multiple=8
-        ) as server:
-            futures = [server.submit(x) for x in xs]
-            responses = [f.result(timeout=30.0) for f in futures]
-        assert all(r.batch_size == 3 for r in responses)
-        np.testing.assert_allclose(
-            np.stack([r.y for r in responses]),
-            net.inference_forward(xs), atol=1e-10,
-        )
-
-    def test_response_telemetry(self, rng):
-        net = _fc_net().compile_inference()
-        with InferenceServer(net, max_wait_ms=1.0) as server:
-            response = server.submit(rng.normal(size=32)).result(timeout=30.0)
-        assert response.endpoint == "default"
-        assert response.generation == 0
-        assert response.latency_ms >= response.queued_ms >= 0.0
-
-    def test_cancelled_request_does_not_strand_batchmates(self, rng):
-        net = _fc_net().compile_inference()
-        xs = rng.normal(size=(2, 32))
-        with InferenceServer(net, max_batch=8, max_wait_ms=150.0) as server:
-            doomed = server.submit(xs[0])
-            kept = server.submit(xs[1])
-            # The batch window is still open, so neither future has been
-            # claimed by a worker yet and the cancel wins the race.
-            assert doomed.cancel()
-            response = kept.result(timeout=30.0)
-            stats = server.stats()
-        np.testing.assert_allclose(
-            response.y, net.inference_forward(xs[1:2])[0], atol=1e-10
-        )
-        assert response.batch_size == 1  # the cancelled row never ran
-        assert stats["cancelled"] == 1
 
     def test_mixed_spatial_sizes_served_as_per_shape_subbatches(self, rng):
         # Both samples are valid for the conv endpoint's (4, None, None)

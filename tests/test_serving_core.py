@@ -29,7 +29,13 @@ from repro.errors import (
     ShapeError,
     WorkerCrashedError,
 )
-from repro.nn import BlockCirculantDense, BlockCirculantLSTM, ReLU, Sequential
+from repro.nn import (
+    BlockCirculantDense,
+    BlockCirculantGRU,
+    BlockCirculantLSTM,
+    ReLU,
+    Sequential,
+)
 from repro.serving import (
     BreakerPolicy,
     InferenceServer,
@@ -90,12 +96,18 @@ class TestRequestPath:
         self, server_factory, rng
     ):
         server = server_factory(_fc_net(), workers=1)
-        with pytest.raises(ShapeError):
-            server.submit(rng.normal(size=33))
-        with pytest.raises(ConfigurationError, match="unknown endpoint"):
-            server.submit(rng.normal(size=32), endpoint="nope")
+
+        def rejects_bad_requests():
+            with pytest.raises(ShapeError):
+                server.submit(rng.normal(size=33))
+            with pytest.raises(ConfigurationError, match="unknown endpoint"):
+                server.submit(rng.normal(size=32), endpoint="nope")
+
+        rejects_bad_requests()
         with pytest.raises(ServerClosedError, match="not running"):
             server.submit(rng.normal(size=32))
+        with server:
+            rejects_bad_requests()
         assert server.stats()["requests"] == 0
 
     def test_cancelled_request_does_not_strand_batchmates(
@@ -117,23 +129,13 @@ class TestRequestPath:
         assert response.batch_size == 1  # the cancelled row never ran
         assert server.stats()["cancelled"] == 1
 
-    def test_padded_rows_do_not_leak_into_outputs(self, server_factory, rng):
-        net = _fc_net()
-        xs = rng.normal(size=(3, 32))
-        server = server_factory(net, workers=1, max_batch=8,
-                                max_wait_ms=100.0, pad_to_multiple=8)
-        with server:
-            responses = [f.result(120.0) for f in server.submit_many(xs)]
-        assert [r.batch_size for r in responses] == [3, 3, 3]
-        np.testing.assert_allclose(
-            np.stack([r.y for r in responses]), net.inference_forward(xs),
-            atol=1e-10,
-        )
-        assert server.stats()["padded_rows"] == 5
-
-    def test_bucketed_sequences_get_true_length_outputs(self, server_factory):
+    @pytest.mark.parametrize("cell", [BlockCirculantLSTM, BlockCirculantGRU],
+                             ids=["lstm", "gru"])
+    def test_bucketed_sequences_get_true_length_outputs(
+        self, server_factory, cell
+    ):
         rng = np.random.default_rng(1)
-        net = Sequential(BlockCirculantLSTM(10, 8, 4, seed=0))
+        net = Sequential(cell(10, 8, 4, seed=0))
         net.compile_inference()
         lengths = [3, 5, 4, 7, 2, 8]
         samples = [rng.normal(size=(n, 10)) for n in lengths]

@@ -1,10 +1,10 @@
-"""Length-bucketed sequence serving (scheduler + both runtimes).
+"""Length-bucketed sequence serving: the scheduler units and the thread server.
 
 The serving half of the time-stepped forward contract: ragged sequence
 requests are grouped by bucketed padded length, zero-padded within their
 bucket only, and each response carries the request's true-length output.
-The multi-process variant at the bottom is marked ``mp`` (excluded from
-tier-1, run by the dedicated CI job).
+Served true-length outputs on both runtimes are checked in
+``tests/test_serving_core.py``.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.nn import (
-    BlockCirculantDense,
-    BlockCirculantGRU,
-    BlockCirculantLSTM,
-    ReLU,
-    Sequential,
-)
+from repro.nn import BlockCirculantDense, BlockCirculantLSTM, ReLU, Sequential
 from repro.plan import ExecutionPlan
 from repro.serving import InferenceServer, ModelRegistry
 from repro.serving.scheduler import (
@@ -57,23 +51,12 @@ class TestBucketing:
     def test_assemble_sequence_batch_pads_and_reports_lengths(self):
         rng = np.random.default_rng(0)
         samples = [rng.normal(size=(n, 3)) for n in (2, 5, 4)]
-        x, rows, lengths = assemble_sequence_batch(samples, 0, 4)
+        x, lengths = assemble_sequence_batch(samples, 0, 4)
         assert x.shape == (3, 8, 3)
-        assert rows == 3
         assert lengths == [2, 5, 4]
         for i, sample in enumerate(samples):
             np.testing.assert_array_equal(x[i, :len(sample)], sample)
             assert not x[i, len(sample):].any()
-
-    def test_assemble_sequence_batch_honours_pad_to_multiple(self):
-        samples = [np.ones((3, 2)), np.ones((5, 2))]
-        x, rows, lengths = assemble_sequence_batch(
-            samples, 0, None, pad_to_multiple=4
-        )
-        assert x.shape == (4, 5, 2)
-        assert rows == 2
-        assert lengths == [3, 5]
-        assert not x[2:].any()
 
     def test_assemble_sequence_batch_rejects_mismatched_features(self):
         with pytest.raises(ShapeError):
@@ -91,26 +74,6 @@ class TestBucketing:
 # -- thread server ------------------------------------------------------------
 
 class TestSequenceServing:
-    def test_ragged_requests_serve_true_length_outputs(self):
-        rng = np.random.default_rng(1)
-        net = _rnn_net()
-        server = InferenceServer(
-            net, max_batch=8, max_wait_ms=20.0, bucket_multiple=4
-        )
-        lengths = [3, 5, 4, 7, 2, 8]
-        samples = [rng.normal(size=(n, 10)) for n in lengths]
-        with server:
-            outs = server.infer_many(samples, timeout=30)
-        for sample, y, n in zip(samples, outs, lengths):
-            assert y.shape == (n, 8)
-            reference = net.inference_forward(sample[None])[0]
-            np.testing.assert_allclose(y, reference, atol=1e-12, rtol=0)
-        stats = server.stats()
-        # Bucketing really batched ragged lengths together: fewer
-        # batches than requests, and the padding waste is visible.
-        assert stats["batches"] < len(lengths)
-        assert stats["padded_steps"] > 0
-
     def test_sequences_batch_without_bucketing_only_when_equal_length(self):
         rng = np.random.default_rng(2)
         net = _rnn_net(seed=1)
@@ -169,29 +132,3 @@ class TestSequenceServing:
         # 16-bit quantisation must actually have changed the weights.
         assert not np.array_equal(before, after)
 
-
-# -- multi-process server -----------------------------------------------------
-
-@pytest.mark.mp
-def test_mp_server_buckets_ragged_sequences():
-    from repro.serving import MPInferenceServer
-
-    rng = np.random.default_rng(5)
-    net = Sequential(BlockCirculantGRU(10, 8, 4, seed=6))
-    net.compile_inference()
-    registry = ModelRegistry()
-    registry.register("default", net)
-    server = MPInferenceServer(
-        registry, workers=2, max_batch=8, max_wait_ms=20.0,
-        bucket_multiple=4,
-    )
-    lengths = [3, 5, 4, 7, 2, 8]
-    samples = [rng.normal(size=(n, 10)) for n in lengths]
-    with server:
-        outs = server.infer_many(samples, timeout=60)
-        stats = server.stats()
-    for sample, y, n in zip(samples, outs, lengths):
-        assert y.shape == (n, 8)
-        reference = net.inference_forward(sample[None])[0]
-        np.testing.assert_allclose(y, reference, atol=1e-12, rtol=0)
-    assert stats["batches"] < len(lengths)
